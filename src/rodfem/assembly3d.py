@@ -13,11 +13,85 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, SolverError
-from .geometry import Mesh, averaged_tangent, element_tangents, lumped_weights
+from .geometry import FrozenGeometry, Mesh, frozen_geometry  # noqa: F401 (re-exported)
 from .linsolve import BandedMatrix, factorize, relative_residual, solve
 from .scenarios import Scenario, evaluate_field
 
 _D3 = np.arange(3)
+
+
+class _Triplets:
+    """Coordinate entries of one step matrix, put in blocks of `dim` slots.
+
+    Shared by the spatial and the planar assembler.  Entries are summed into
+    the band in the order they were put.
+    """
+
+    def __init__(self, dim):
+        self.d = np.arange(dim)
+        self.rows, self.cols, self.vals = [], [], []
+
+    def put(self, r, c, v):
+        self.rows.append(np.asarray(r, dtype=np.int64).ravel())
+        self.cols.append(np.asarray(c, dtype=np.int64).ravel())
+        self.vals.append(np.asarray(v, dtype=float).ravel())
+
+    def put_blocks(self, r0, c0, mats):
+        """A (dim, dim) block at each (r0, c0)."""
+        shp = mats.shape
+        r = np.broadcast_to(r0[:, None, None] + self.d[None, :, None], shp)
+        c = np.broadcast_to(c0[:, None, None] + self.d[None, None, :], shp)
+        self.put(r, c, mats)
+
+    def put_diag(self, r0, c0, coef):
+        """coef times the (dim, dim) identity at each (r0, c0)."""
+        self.put(r0[:, None] + self.d, c0[:, None] + self.d,
+                 np.broadcast_to(coef[:, None], (coef.size, self.d.size)))
+
+    def put_vec_rows(self, r0, c0, vecs):
+        """A vector down dim rows from r0, in the single column c0."""
+        self.put(r0[:, None] + self.d, np.broadcast_to(c0[:, None], vecs.shape),
+                 vecs)
+
+    def put_vec_cols(self, r0, c0, vecs):
+        """A vector along dim columns from c0, in the single row r0."""
+        self.put(np.broadcast_to(r0[:, None], vecs.shape), c0[:, None] + self.d,
+                 vecs)
+
+    def banded(self, ndof, b, what) -> BandedMatrix:
+        """The band matrix holding every entry; rejects non-finite input."""
+        r = np.concatenate(self.rows)
+        c = np.concatenate(self.cols)
+        v = np.concatenate(self.vals)
+        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
+            raise AssemblyError(f"non-finite entries in the {what} system")
+        matrix = BandedMatrix(ndof, int(np.max(r - c)), int(np.max(c - r)))
+        matrix.add_entries(r, c, v)
+        return matrix
+
+
+def _solve_increment(matrix, b, x_off, x, what, t_new, residual_tol):
+    """Solve one step system; returns the solution and its relative residual.
+
+    x are the previous positions, whose slots start at x_off.
+    """
+    # solve for the position update, not the position: keeping O(1)
+    # coordinates out of the unknowns keeps the length constraint satisfied
+    # to the rounding floor of the increment rather than of the coordinates
+    # (the shift is accumulated in extended precision for the same reason)
+    base = np.zeros(matrix.n)
+    base[x_off[:, None] + np.arange(x.shape[1])] = x
+    shift = np.asarray(b, dtype=np.longdouble) - matrix.matvec(
+        base.astype(np.longdouble)
+    )
+    sol = base + solve(factorize(matrix), shift.astype(float))
+    res = relative_residual(matrix, sol, b)
+    if not res <= residual_tol:
+        raise SolverError(
+            f"{what} at t={t_new} left relative residual {res:.3e} "
+            f"(tolerance {residual_tol:.1e})"
+        )
+    return sol, res
 
 
 @dataclass
@@ -66,21 +140,6 @@ class DofLayout3D:
         self.g_off = self.z_off + 1
         self.p_off = self.z_off + 2
         self.ndof = 13 * n - 15
-
-
-@dataclass(frozen=True)
-class FrozenGeometry:
-    """Geometry of the previous step, reused as step coefficients."""
-
-    tau: np.ndarray   # unit element tangents (ne, dim)
-    s: np.ndarray     # length elements |x_u| per element (ne,)
-    ttau: np.ndarray  # averaged vertex tangents (n, dim)
-    w: np.ndarray     # lumped vertex weights (n,)
-
-
-def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
-    tau, s = element_tangents(mesh, x)
-    return FrozenGeometry(tau, s, averaged_tangent(tau), lumped_weights(mesh, s))
 
 
 @dataclass
@@ -154,52 +213,31 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     ii = np.arange(1, n - 1)
     b = np.zeros(lay.ndof)
 
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64).ravel())
-        cols.append(np.asarray(c, dtype=np.int64).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    def put_blocks(r0, c0, mats):
-        shp = mats.shape
-        r = np.broadcast_to(r0[:, None, None] + _D3[None, :, None], shp)
-        c = np.broadcast_to(c0[:, None, None] + _D3[None, None, :], shp)
-        put(r, c, mats)
-
-    def put_diag(r0, c0, coef):
-        put(r0[:, None] + _D3, c0[:, None] + _D3,
-            np.broadcast_to(coef[:, None], (coef.size, 3)))
-
-    def put_vec_rows(r0, c0, vecs):
-        put(r0[:, None] + _D3, np.broadcast_to(c0[:, None], vecs.shape), vecs)
-
-    def put_vec_cols(r0, c0, vecs):
-        put(np.broadcast_to(r0[:, None], vecs.shape), c0[:, None] + _D3, vecs)
+    m = _Triplets(3)
 
     # -- momentum balance at every vertex (rows at the position slots)
     drag_lumped = np.zeros((n, 3, 3))
     drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
     drag_lumped[1:] += 0.5 * hs[:, None, None] * K
-    put_blocks(xo, xo, drag_lumped / dt)
+    m.put_blocks(xo, xo, drag_lumped / dt)
     b[(xo[:, None] + _D3).ravel()] = (
         np.einsum("nij,nj->ni", drag_lumped, x) / dt
     ).ravel()
 
     # tension and twist-moment forces of element e on its two end vertices
-    put_vec_rows(xo[:-1], po, tau)
-    put_vec_rows(xo[1:], po, -tau)
-    put_vec_rows(xo[:-1], zo, tk)
-    put_vec_rows(xo[1:], zo, -tk)
+    m.put_vec_rows(xo[:-1], po, tau)
+    m.put_vec_rows(xo[1:], po, -tau)
+    m.put_vec_rows(xo[:-1], zo, tk)
+    m.put_vec_rows(xo[1:], zo, -tk)
 
     # transverse bending force, projected difference of the bending moment
     coefP = P / hs[:, None, None]
     mh = np.arange(ne - 1)      # elements whose right vertex is interior
     ml = np.arange(1, ne)       # elements whose left vertex is interior
-    put_blocks(xo[mh], yo[mh + 1], coefP[mh])
-    put_blocks(xo[mh + 1], yo[mh + 1], -coefP[mh])
-    put_blocks(xo[ml], yo[ml], -coefP[ml])
-    put_blocks(xo[ml + 1], yo[ml], coefP[ml])
+    m.put_blocks(xo[mh], yo[mh + 1], coefP[mh])
+    m.put_blocks(xo[mh + 1], yo[mh + 1], -coefP[mh])
+    m.put_blocks(xo[ml], yo[ml], -coefP[ml])
+    m.put_blocks(xo[ml + 1], yo[ml], coefP[ml])
 
     # -- bending constitutive law at interior vertices (bending-moment rows)
     ti = ttau[ii]
@@ -212,8 +250,8 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
         - (B_i / dt)[:, None, None] * Pt
         + (B_i * spin[ii])[:, None, None] * Xt
     )
-    put_diag(yo[ii], yo[ii], w[ii])
-    put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
+    m.put_diag(yo[ii], yo[ii], w[ii])
+    m.put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
     alpha = evaluate_field(ctx.scenario.kappa1_pref, u, t_new)
     beta = evaluate_field(ctx.scenario.kappa2_pref, u, t_new)
     pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
@@ -228,48 +266,39 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     # -- curvature identity at interior vertices (curvature rows; zero rhs)
     a_l = 1.0 / hs[:-1]
     a_r = 1.0 / hs[1:]
-    put_diag(ko[ii], ko[ii], w[ii])
-    put_diag(ko[ii], xo[ii], a_l + a_r)
-    put_diag(ko[ii], xo[ii - 1], -a_l)
-    put_diag(ko[ii], xo[ii + 1], -a_r)
+    m.put_diag(ko[ii], ko[ii], w[ii])
+    m.put_diag(ko[ii], xo[ii], a_l + a_r)
+    m.put_diag(ko[ii], xo[ii - 1], -a_l)
+    m.put_diag(ko[ii], xo[ii + 1], -a_r)
 
     # -- tangential angular momentum at every vertex (spin rows)
-    put(mo, mo, -ctx.scenario.material.rotary_drag * w)
-    put(mo[:-1], zo, np.ones(ne))
-    put(mo[1:], zo, -np.ones(ne))
+    m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
+    m.put(mo[:-1], zo, np.ones(ne))
+    m.put(mo[1:], zo, -np.ones(ne))
     b[mo] = -w * np.einsum("nd,nd->n", bend_moment, np.cross(ttau, kappa))
 
     # -- twist constitutive law per element (twist-moment rows)
     C_e = ctx.twist_stiffness
     D_e = ctx.twist_viscosity
     gamma0 = evaluate_field(ctx.scenario.twist_pref, mesh.midpoints, t_new)
-    put(zo, zo, hs)
-    put(zo, go, -hs * (C_e + D_e / dt))
+    m.put(zo, zo, hs)
+    m.put(zo, go, -hs * (C_e + D_e / dt))
     b[zo] = hs * (-C_e * gamma0 - (D_e / dt) * twist)
 
     # -- twist transport per element (twist rows)
-    put(go, go, hs / dt)
-    put(go, mo[:-1], np.ones(ne))
-    put(go, mo[1:], -np.ones(ne))
-    put_vec_cols(go, xo[1:], tk / dt)
-    put_vec_cols(go, xo[:-1], -tk / dt)
+    m.put(go, go, hs / dt)
+    m.put(go, mo[:-1], np.ones(ne))
+    m.put(go, mo[1:], -np.ones(ne))
+    m.put_vec_cols(go, xo[1:], tk / dt)
+    m.put_vec_cols(go, xo[:-1], -tk / dt)
     b[go] = hs * twist / dt + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
 
     # -- inextensibility per element (tension rows)
-    put_vec_cols(po, xo[1:], tau)
-    put_vec_cols(po, xo[:-1], -tau)
+    m.put_vec_cols(po, xo[1:], tau)
+    m.put_vec_cols(po, xo[:-1], -tau)
     b[po] = h * rest_density
 
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
-    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
-        raise AssemblyError("non-finite entries in the step system")
-    kl = int(np.max(r - c))
-    ku = int(np.max(c - r))
-    matrix = BandedMatrix(lay.ndof, kl, ku)
-    matrix.add_entries(r, c, v)
-    return matrix, b
+    return m.banded(lay.ndof, b, "step"), b
 
 
 def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
@@ -280,22 +309,8 @@ def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
         rest_density,
     )
     lay = ctx.layout
-    # solve for the position update, not the position: keeping O(1)
-    # coordinates out of the unknowns keeps the length constraint satisfied
-    # to the rounding floor of the increment rather than of the coordinates
-    # (the shift is accumulated in extended precision for the same reason)
-    base = np.zeros(lay.ndof)
-    base[lay.x_off[:, None] + _D3] = x
-    shift = np.asarray(b, dtype=np.longdouble) - matrix.matvec(
-        base.astype(np.longdouble)
-    )
-    sol = base + solve(factorize(matrix), shift.astype(float))
-    res = relative_residual(matrix, sol, b)
-    if not res <= residual_tol:
-        raise SolverError(
-            f"step at t={t_new} left relative residual {res:.3e} "
-            f"(tolerance {residual_tol:.1e})"
-        )
+    sol, res = _solve_increment(matrix, b, lay.x_off, x, "step", t_new,
+                                residual_tol)
 
     n = ctx.mesh.n_vertices
     inner = np.arange(1, n - 1)

@@ -322,7 +322,6 @@ def _write_manifest(out_dir, args, cfg, outputs, timings) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "seed": getattr(args, "seed", None),
         "config_file": str(args.config),
         "config": dict(cfg),
         "outputs": outputs,
@@ -511,9 +510,6 @@ def _add_common(sub) -> None:
                      help="path to the flat key = value run description")
     sub.add_argument("--out", default="out",
                      help="output directory (created if missing)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reserved for stochastic media; recorded in the "
-                          "manifest, otherwise unused")
     sub.add_argument("--renormalize-frame", action="store_true",
                      help="re-orthonormalize the director frame every step")
 

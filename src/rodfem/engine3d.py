@@ -1,7 +1,13 @@
-"""Time-stepping driver for the spatial rod model.
+"""Time-stepping driver for both rod models, and the spatial model itself.
 
-Each step solves the implicit banded system with geometry frozen at the
-previous state, then carries the director pair forward by two exact
+The step loop lives here once, for `run` (spatial) and `solver2d.run2d`
+(planar): the spin-up phase, the resume check, the per-step invariant
+probe, the diagnostics records, the snapshots and the run result.  Each
+model hands the loop its step and its energy/frame-error measure as plain
+callables.
+
+Each spatial step solves the implicit banded system with geometry frozen at
+the previous state, then carries the director pair forward by two exact
 rotations: one taking the old averaged tangent to the new one, one about
 the new tangent by the solved spin rate times the step size.
 """
@@ -11,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly3d import StepContext3D, frozen_geometry, solve_step
+from .assembly3d import StepContext3D, solve_step
 from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
                           length_error)
 from .errors import InvalidParameterError
 from .frame import frame_error, orthonormality_defects, renormalize, transport_frame
-from .geometry import (Mesh, element_tangents, element_twist, uniform_mesh,
-                       vertex_curvature)
+from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
+                       uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
 from .scenarios import Scenario, evaluate_field
 
@@ -135,35 +141,138 @@ def initial_state(mesh: Mesh, scenario: Scenario, data: InitialData = None) -> R
     )
 
 
+def _check_model(config, dimension, mesh, state):
+    """Reject a config or a resume state made for another model or mesh."""
+    if config.dimension != dimension:
+        raise InvalidParameterError(
+            f"config.dimension is {config.dimension}, but this driver runs "
+            f"the {dimension}-d model (run: 3, run2d: 2)"
+        )
+    want = (mesh.n_vertices, dimension)
+    if state is not None and state.x.shape != want:
+        raise InvalidParameterError(
+            f"resume state positions have shape {state.x.shape}, the "
+            f"{dimension}-d model on this mesh wants {want}"
+        )
+
+
+def _advance(mesh, state, geom, t, step_index, step, stats):
+    """Take one step, then probe the invariants of the step just taken."""
+    new, gnew, residual = step(state, geom, t, step_index, stats)
+    rest = state.rest_density
+    dx = new.x[1:] - new.x[:-1]
+    cres = np.einsum("ed,ed->e", geom.tau, dx) - mesh.h * rest
+    stats.max_constraint_residual = max(
+        stats.max_constraint_residual, float(np.abs(cres).max())
+    )
+    shrink = 1.0 - 0.5 * np.sum((gnew.tau - geom.tau) ** 2, axis=1)
+    if np.any(shrink <= 0.0):
+        identity_defect = np.inf
+    else:
+        identity_defect = float(
+            np.abs(gnew.s - rest / shrink).max() / rest.min()
+        )
+    stats.max_length_identity_error = max(
+        stats.max_length_identity_error, identity_defect
+    )
+    stats.min_stretch = min(stats.min_stretch, float((gnew.s / rest).min()))
+    stats.max_solver_residual = max(stats.max_solver_residual, residual)
+    stats.steps += 1
+    return new, gnew
+
+
+def _spin_up(config, mesh, state, step, stats):
+    """The scenario's spin-up phase, from `state` at t = 0.
+
+    The driving fields are clamped at their t = 0 values and every state is
+    labelled t = 0, so the clock restarts at zero when the phase ends.
+    Returns the developed state and its geometry.
+    """
+    geom = frozen_geometry(mesh, state.x)
+    if config.scenario.spin_up > 0.0:
+        for k in range(step_count(config.scenario.spin_up, config.dt)):
+            state, geom = _advance(mesh, state, geom, 0.0, k + 1, step, stats)
+    return state, geom
+
+
+def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
+    """Advance one rod model to the horizon; the loop of `run` and `run2d`.
+
+    step(state, geom, t, step_index, stats) advances `state`, whose geometry
+    `geom` it freezes, to the time t, and returns the new state, the new
+    geometry and the solver's relative residual.  measure(state, geom)
+    returns the elastic energy and the frame error of a state.  A fresh run
+    (state None) starts from fresh_state() and the spin-up phase; a resumed
+    run continues the main phase from the state's own time.
+    """
+    wall0 = time.perf_counter()
+    _check_model(config, dimension, mesh, state)
+    scn = config.scenario
+    stats = RunStats()
+    if state is None:
+        state, geom = _spin_up(config, mesh, fresh_state(), step, stats)
+    else:
+        state = state.copy()
+        geom = frozen_geometry(mesh, state.x)
+
+    t0 = state.t
+    n_steps = step_count(config.horizon - t0, config.dt)
+    step0 = int(round(t0 / config.dt))
+    records = []
+    snapshots = {}
+    prev_f2 = None
+
+    def record(st, gm, step_index):
+        nonlocal prev_f2
+        energy, f2 = measure(st, gm)
+        hs = mesh.h * gm.s
+        f1 = length_error(hs, scn.length)
+        inc = 0.0 if prev_f2 is None else f2 - prev_f2
+        prev_f2 = f2
+        records.append(DiagnosticsRecord(
+            step=step_index, t=st.t, energy=energy, f1=f1, f2=f2,
+            f2_increment=inc, total_length=float(hs.sum()),
+            com=center_of_mass(mesh, st.x, gm.s),
+            s_min=float(gm.s.min()), s_max=float(gm.s.max()),
+        ))
+        stats.max_f1 = max(stats.max_f1, f1)
+        stats.max_f2 = max(stats.max_f2, f2)
+        stats.max_f2_increment = max(stats.max_f2_increment, inc)
+
+    record(state, geom, step0)
+    snapshots[step0] = state.copy()
+    for k in range(n_steps):
+        t_new = t0 + (k + 1) * config.dt
+        idx = step0 + k + 1
+        state, geom = _advance(mesh, state, geom, t_new, idx, step, stats)
+        record(state, geom, idx)
+        if config.snapshot_stride > 0 and idx % config.snapshot_stride == 0:
+            snapshots[idx] = state.copy()
+    snapshots[step0 + n_steps] = state.copy()
+
+    return RunResult(
+        config=config, final_state=state, records=records,
+        snapshots=snapshots, stats=stats,
+        wall_time=time.perf_counter() - wall0,
+    )
+
+
 def run(config: SimConfig, state: RodState3D = None,
         initial: InitialData = None) -> RunResult:
     """Advance the rod to the horizon; resumes from `state` when given.
 
     A fresh run starts with the scenario's spin-up phase (driving fields
     clamped at their t = 0 values, clock reset afterwards); a resumed run
-    continues the main phase from the state's own time.
+    continues the main phase from the state's own time.  Raises
+    InvalidParameterError for a planar config or resume state.
     """
-    wall0 = time.perf_counter()
     scn = config.scenario
     mesh = uniform_mesh(config.n_vertices)
     ctx = StepContext3D(mesh, scn)
-    stats = RunStats()
 
-    fresh = state is None
-    if fresh:
-        state = initial_state(mesh, scn, initial)
-    else:
-        state = state.copy()
-        if state.x.shape[0] != mesh.n_vertices:
-            raise InvalidParameterError(
-                f"resume state has {state.x.shape[0]} vertices, "
-                f"config wants {mesh.n_vertices}"
-            )
-    geom = frozen_geometry(mesh, state.x)
-
-    def one_step(st, gm, t_field, t_label, step_index):
+    def step(st, gm, t, step_index, stats):
         res = solve_step(
-            ctx, gm, config.dt, t_field, st.x, st.e1, st.e2, st.kappa,
+            ctx, gm, config.dt, t, st.x, st.e1, st.e2, st.kappa,
             st.twist, st.bend_moment, st.spin, st.rest_density,
             config.residual_tol,
         )
@@ -182,89 +291,27 @@ def run(config: SimConfig, state: RodState3D = None,
             e1n, e2n = renormalize(gnew.ttau, e1n, e2n)
             stats.renormalized_steps += 1
         new = RodState3D(
-            t=t_label, x=res.x, e1=e1n, e2=e2n, kappa=res.kappa,
+            t=t, x=res.x, e1=e1n, e2=e2n, kappa=res.kappa,
             twist=res.twist, bend_moment=res.bend_moment, spin=res.spin,
             twist_moment=res.twist_moment, tension=res.tension,
             rest_density=st.rest_density,
         )
-        # invariants of the step just taken
-        dx = res.x[1:] - res.x[:-1]
-        cres = np.einsum("ed,ed->e", gm.tau, dx) - mesh.h * st.rest_density
-        stats.max_constraint_residual = max(
-            stats.max_constraint_residual, float(np.abs(cres).max())
-        )
-        shrink = 1.0 - 0.5 * np.sum((gnew.tau - gm.tau) ** 2, axis=1)
-        if np.any(shrink <= 0.0):
-            identity_defect = np.inf
-        else:
-            identity_defect = float(
-                np.abs(gnew.s - st.rest_density / shrink).max()
-                / st.rest_density.min()
-            )
-        stats.max_length_identity_error = max(
-            stats.max_length_identity_error, identity_defect
-        )
-        stats.min_stretch = min(
-            stats.min_stretch, float((gnew.s / st.rest_density).min())
-        )
-        stats.max_solver_residual = max(stats.max_solver_residual, res.residual)
         stats.max_abs_x3 = max(stats.max_abs_x3, float(np.abs(new.x[:, 2]).max()))
         beta_h = np.einsum("nd,nd->n", new.kappa, new.e2)
         stats.max_abs_beta = max(stats.max_abs_beta, float(np.abs(beta_h).max()))
         stats.max_abs_twist = max(stats.max_abs_twist, float(np.abs(new.twist).max()))
-        stats.steps += 1
-        return new, gnew
+        return new, gnew, res.residual
 
-    if fresh and scn.spin_up > 0.0:
-        for k in range(step_count(scn.spin_up, config.dt)):
-            state, geom = one_step(state, geom, 0.0, 0.0, k + 1)
-        state.t = 0.0
-
-    t0 = state.t
-    n_steps = step_count(config.horizon - t0, config.dt)
-    step0 = int(round(t0 / config.dt))
-    records = []
-    snapshots = {}
-    prev_f2 = None
-
-    def record(st, gm, step_index):
-        nonlocal prev_f2
+    def measure(st, gm):
         alpha = evaluate_field(scn.kappa1_pref, mesh.u, st.t)
         beta = evaluate_field(scn.kappa2_pref, mesh.u, st.t)
         gamma0 = evaluate_field(scn.twist_pref, mesh.midpoints, st.t)
         kpref = alpha[:, None] * st.e1 + beta[:, None] * st.e2
-        hs = mesh.h * gm.s
         energy = elastic_energy(
             gm.w, ctx.bend_stiffness, st.kappa, kpref,
-            hs, ctx.twist_stiffness, st.twist, gamma0,
+            mesh.h * gm.s, ctx.twist_stiffness, st.twist, gamma0,
         )
-        f1 = length_error(hs, scn.length)
-        f2 = frame_error(mesh, st.x, st.e1, st.e2)
-        inc = 0.0 if prev_f2 is None else f2 - prev_f2
-        prev_f2 = f2
-        records.append(DiagnosticsRecord(
-            step=step_index, t=st.t, energy=energy, f1=f1, f2=f2,
-            f2_increment=inc, total_length=float(hs.sum()),
-            com=center_of_mass(mesh, st.x, gm.s),
-            s_min=float(gm.s.min()), s_max=float(gm.s.max()),
-        ))
-        stats.max_f1 = max(stats.max_f1, f1)
-        stats.max_f2 = max(stats.max_f2, f2)
-        stats.max_f2_increment = max(stats.max_f2_increment, inc)
+        return energy, frame_error(mesh, st.x, st.e1, st.e2)
 
-    record(state, geom, step0)
-    snapshots[step0] = state.copy()
-    for k in range(n_steps):
-        t_new = t0 + (k + 1) * config.dt
-        state, geom = one_step(state, geom, t_new, t_new, step0 + k + 1)
-        record(state, geom, step0 + k + 1)
-        idx = step0 + k + 1
-        if config.snapshot_stride > 0 and idx % config.snapshot_stride == 0:
-            snapshots[idx] = state.copy()
-    snapshots[step0 + n_steps] = state.copy()
-
-    return RunResult(
-        config=config, final_state=state, records=records,
-        snapshots=snapshots, stats=stats,
-        wall_time=time.perf_counter() - wall0,
-    )
+    return _run_model(config, 3, mesh, state,
+                      lambda: initial_state(mesh, scn, initial), step, measure)

@@ -118,6 +118,21 @@ def lumped_weights(mesh: Mesh, s: np.ndarray) -> np.ndarray:
     return w
 
 
+@dataclass(frozen=True)
+class FrozenGeometry:
+    """Geometry of the previous step, reused as step coefficients."""
+
+    tau: np.ndarray   # unit element tangents (ne, dim)
+    s: np.ndarray     # length elements |x_u| per element (ne,)
+    ttau: np.ndarray  # averaged vertex tangents (n, dim)
+    w: np.ndarray     # lumped vertex weights (n,)
+
+
+def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
+    tau, s = element_tangents(mesh, x)
+    return FrozenGeometry(tau, s, averaged_tangent(tau), lumped_weights(mesh, s))
+
+
 def vertex_curvature(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     """Discrete curvature vector at interior vertices.
 

@@ -4,20 +4,22 @@ The planar scheme carries no director pair: the unit normal is the rotated
 averaged tangent, recomputed from geometry each step, so frame bookkeeping
 (and its error) vanishes identically.  Unknowns per step are position,
 bending moment, curvature, and tension; twist and spin do not exist.
+
+This module holds the planar step and measure only; the step loop that
+`run2d` and `spun_up_state_2d` go through is owned by `engine3d`.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
-                          length_error)
-from .engine3d import RodState3D, RunResult, RunStats, SimConfig, step_count
-from .errors import AssemblyError, InvalidParameterError, SolverError
+from .assembly3d import _solve_increment, _Triplets
+from .diagnostics import elastic_energy
+from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
+                       _spin_up)
+from .errors import AssemblyError
 from .geometry import (Mesh, averaged_tangent, element_tangents,
-                       lumped_weights, perp, uniform_mesh, vertex_curvature)
-from .linsolve import BandedMatrix, factorize, relative_residual, solve
+                       frozen_geometry, perp, uniform_mesh, vertex_curvature)
 from .scenarios import evaluate_field
 
 _D2 = np.arange(2)
@@ -83,14 +85,12 @@ def initial_state_2d(mesh: Mesh, scenario) -> RodState2D:
 
 
 def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
-                  dt, t_new, x, kappa, bend_moment, rest_density,
+                  geom, dt, t_new, x, kappa, bend_moment, rest_density,
                   residual_tol=1e-10):
-    """One implicit planar step; geometry frozen at the given state."""
+    """One implicit planar step; `geom` is the frozen geometry of x."""
     n, ne = mesh.n_vertices, mesh.n_elements
     h, u = mesh.h, mesh.u
-    tau, s = element_tangents(mesh, x)
-    ttau = averaged_tangent(tau)
-    w = lumped_weights(mesh, s)
+    tau, s, ttau, w = geom.tau, geom.s, geom.ttau, geom.w
     hs = h * s
     eye2 = np.eye(2)
 
@@ -101,46 +101,25 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
     ii = np.arange(1, n - 1)
     b = np.zeros(layout.ndof)
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64).ravel())
-        cols.append(np.asarray(c, dtype=np.int64).ravel())
-        vals.append(np.asarray(v, dtype=float).ravel())
-
-    def put_blocks(r0, c0, mats):
-        shp = mats.shape
-        r = np.broadcast_to(r0[:, None, None] + _D2[None, :, None], shp)
-        c = np.broadcast_to(c0[:, None, None] + _D2[None, None, :], shp)
-        put(r, c, mats)
-
-    def put_diag(r0, c0, coef):
-        put(r0[:, None] + _D2, c0[:, None] + _D2,
-            np.broadcast_to(coef[:, None], (coef.size, 2)))
-
-    def put_vec_rows(r0, c0, vecs):
-        put(r0[:, None] + _D2, np.broadcast_to(c0[:, None], vecs.shape), vecs)
-
-    def put_vec_cols(r0, c0, vecs):
-        put(np.broadcast_to(r0[:, None], vecs.shape), c0[:, None] + _D2, vecs)
+    m = _Triplets(2)
 
     # momentum balance
     drag_lumped = np.zeros((n, 2, 2))
     drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
     drag_lumped[1:] += 0.5 * hs[:, None, None] * K
-    put_blocks(xo, xo, drag_lumped / dt)
+    m.put_blocks(xo, xo, drag_lumped / dt)
     b[(xo[:, None] + _D2).ravel()] = (
         np.einsum("nij,nj->ni", drag_lumped, x) / dt
     ).ravel()
-    put_vec_rows(xo[:-1], po, tau)
-    put_vec_rows(xo[1:], po, -tau)
+    m.put_vec_rows(xo[:-1], po, tau)
+    m.put_vec_rows(xo[1:], po, -tau)
     coefP = P / hs[:, None, None]
     mh = np.arange(ne - 1)
     ml = np.arange(1, ne)
-    put_blocks(xo[mh], yo[mh + 1], coefP[mh])
-    put_blocks(xo[mh + 1], yo[mh + 1], -coefP[mh])
-    put_blocks(xo[ml], yo[ml], -coefP[ml])
-    put_blocks(xo[ml + 1], yo[ml], coefP[ml])
+    m.put_blocks(xo[mh], yo[mh + 1], coefP[mh])
+    m.put_blocks(xo[mh + 1], yo[mh + 1], -coefP[mh])
+    m.put_blocks(xo[ml], yo[ml], -coefP[ml])
+    m.put_blocks(xo[ml + 1], yo[ml], coefP[ml])
 
     # bending constitutive law
     ti = ttau[ii]
@@ -148,8 +127,8 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     A_i = bend_stiffness[ii]
     B_i = bend_viscosity[ii]
     kmat = -A_i[:, None, None] * eye2[None] - (B_i / dt)[:, None, None] * Pt
-    put_diag(yo[ii], yo[ii], w[ii])
-    put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
+    m.put_diag(yo[ii], yo[ii], w[ii])
+    m.put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
     alpha = evaluate_field(scenario.kappa1_pref, u, t_new)
     b[(yo[ii][:, None] + _D2).ravel()] = (
         w[ii][:, None]
@@ -162,37 +141,19 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     # curvature identity
     a_l = 1.0 / hs[:-1]
     a_r = 1.0 / hs[1:]
-    put_diag(ko[ii], ko[ii], w[ii])
-    put_diag(ko[ii], xo[ii], a_l + a_r)
-    put_diag(ko[ii], xo[ii - 1], -a_l)
-    put_diag(ko[ii], xo[ii + 1], -a_r)
+    m.put_diag(ko[ii], ko[ii], w[ii])
+    m.put_diag(ko[ii], xo[ii], a_l + a_r)
+    m.put_diag(ko[ii], xo[ii - 1], -a_l)
+    m.put_diag(ko[ii], xo[ii + 1], -a_r)
 
     # inextensibility
-    put_vec_cols(po, xo[1:], tau)
-    put_vec_cols(po, xo[:-1], -tau)
+    m.put_vec_cols(po, xo[1:], tau)
+    m.put_vec_cols(po, xo[:-1], -tau)
     b[po] = h * rest_density
 
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
-    if not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
-        raise AssemblyError("non-finite entries in the planar step system")
-    matrix = BandedMatrix(layout.ndof, int(np.max(r - c)), int(np.max(c - r)))
-    matrix.add_entries(r, c, v)
-
-    # solve for the position update (see the spatial solver for rationale)
-    base = np.zeros(layout.ndof)
-    base[xo[:, None] + _D2] = x
-    shift = np.asarray(b, dtype=np.longdouble) - matrix.matvec(
-        base.astype(np.longdouble)
-    )
-    sol = base + solve(factorize(matrix), shift.astype(float))
-    res = relative_residual(matrix, sol, b)
-    if not res <= residual_tol:
-        raise SolverError(
-            f"planar step at t={t_new} left relative residual {res:.3e} "
-            f"(tolerance {residual_tol:.1e})"
-        )
+    matrix = m.banded(layout.ndof, b, "planar step")
+    sol, res = _solve_increment(matrix, b, xo, x, "planar step", t_new,
+                                residual_tol)
 
     x_new = sol[xo[:, None] + _D2]
     y_new = np.zeros((n, 2))
@@ -204,32 +165,27 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     return x_new, y_new, k_new, sol[po], res
 
 
-def _probe_step(stats, tau_old, x_new, h, rest_density, res):
-    """Accumulate the per-step invariants shared by both planar phases."""
-    tau_new, s_new = _tangents_of(x_new, h)
-    dx = x_new[1:] - x_new[:-1]
-    cres = np.einsum("ed,ed->e", tau_old, dx) - h * rest_density
-    stats.max_constraint_residual = max(
-        stats.max_constraint_residual, float(np.abs(cres).max())
-    )
-    shrink = 1.0 - 0.5 * np.sum((tau_new - tau_old) ** 2, axis=1)
-    identity_defect = np.inf if np.any(shrink <= 0.0) else float(
-        np.abs(s_new - rest_density / shrink).max() / rest_density.min()
-    )
-    stats.max_length_identity_error = max(
-        stats.max_length_identity_error, identity_defect
-    )
-    stats.min_stretch = min(
-        stats.min_stretch, float((s_new / rest_density).min())
-    )
-    stats.max_solver_residual = max(stats.max_solver_residual, res)
-    stats.steps += 1
+def _planar_model(config, mesh):
+    """The planar step and measure that the shared driver calls."""
+    scn = config.scenario
+    layout = DofLayout2D(mesh.n_vertices)
+    A_v = scn.material.bend_stiffness_at(mesh.u)
+    B_v = scn.material.bend_viscosity_at(mesh.u)
 
+    def step(st, gm, t, step_index, stats):
+        x, y, k, p, res = solve_step_2d(
+            mesh, scn, A_v, B_v, layout, gm, config.dt, t, st.x,
+            st.kappa, st.bend_moment, st.rest_density, config.residual_tol,
+        )
+        new = RodState2D(t, x, k, y, p, st.rest_density)
+        return new, frozen_geometry(mesh, x), res
 
-def _tangents_of(x, h):
-    dx = np.diff(x, axis=0)
-    chord = np.linalg.norm(dx, axis=1)
-    return dx / chord[:, None], chord / h
+    def measure(st, gm):
+        alpha = evaluate_field(scn.kappa1_pref, mesh.u, st.t)
+        energy = elastic_energy(gm.w, A_v, st.kappa, alpha[:, None] * perp(gm.ttau))
+        return energy, 0.0
+
+    return step, measure
 
 
 def spun_up_state_2d(config: SimConfig, stats: RunStats = None) -> RodState2D:
@@ -237,94 +193,26 @@ def spun_up_state_2d(config: SimConfig, stats: RunStats = None) -> RodState2D:
 
     The driving field is clamped at its t = 0 shape for the whole phase and
     the clock is reset afterwards, so locomotion starts from a developed
-    waveform rather than a straight rod.
+    waveform rather than a straight rod.  The phase's invariants go into
+    `stats` when given.
     """
-    scn = config.scenario
     mesh = uniform_mesh(config.n_vertices)
-    state = initial_state_2d(mesh, scn)
-    if scn.spin_up <= 0.0:
-        return state
-    layout = DofLayout2D(mesh.n_vertices)
-    A_v = scn.material.bend_stiffness_at(mesh.u)
-    B_v = scn.material.bend_viscosity_at(mesh.u)
-    for _ in range(step_count(scn.spin_up, config.dt)):
-        tau_old, _ = element_tangents(mesh, state.x)
-        x, y, k, p, res = solve_step_2d(
-            mesh, scn, A_v, B_v, layout, config.dt, 0.0, state.x,
-            state.kappa, state.bend_moment, state.rest_density,
-            config.residual_tol,
-        )
-        if stats is not None:
-            _probe_step(stats, tau_old, x, mesh.h, state.rest_density, res)
-        state = RodState2D(0.0, x, k, y, p, state.rest_density)
+    step, _ = _planar_model(config, mesh)
+    state, _ = _spin_up(config, mesh, initial_state_2d(mesh, config.scenario),
+                        step, RunStats() if stats is None else stats)
     return state
 
 
 def run2d(config: SimConfig, state: RodState2D = None) -> RunResult:
-    """Advance the planar rod to the horizon; resumes from `state` if given."""
-    wall0 = time.perf_counter()
-    scn = config.scenario
+    """Advance the planar rod to the horizon; resumes from `state` if given.
+
+    Raises InvalidParameterError for a spatial config or resume state.
+    """
     mesh = uniform_mesh(config.n_vertices)
-    layout = DofLayout2D(mesh.n_vertices)
-    A_v = scn.material.bend_stiffness_at(mesh.u)
-    B_v = scn.material.bend_viscosity_at(mesh.u)
-    stats = RunStats()
-
-    if state is None:
-        state = spun_up_state_2d(config, stats)
-    else:
-        state = state.copy()
-        if state.x.shape[0] != mesh.n_vertices:
-            raise InvalidParameterError(
-                f"resume state has {state.x.shape[0]} vertices, "
-                f"config wants {mesh.n_vertices}"
-            )
-
-    t0 = state.t
-    n_steps = step_count(config.horizon - t0, config.dt)
-    step0 = int(round(t0 / config.dt))
-    records = []
-    snapshots = {}
-
-    def record(st, step_index):
-        tau, s = element_tangents(mesh, st.x)
-        w = lumped_weights(mesh, s)
-        nu = perp(averaged_tangent(tau))
-        alpha = evaluate_field(scn.kappa1_pref, mesh.u, st.t)
-        hs = mesh.h * s
-        energy = elastic_energy(w, A_v, st.kappa, alpha[:, None] * nu)
-        f1 = length_error(hs, scn.length)
-        records.append(DiagnosticsRecord(
-            step=step_index, t=st.t, energy=energy, f1=f1, f2=0.0,
-            f2_increment=0.0, total_length=float(hs.sum()),
-            com=center_of_mass(mesh, st.x, s),
-            s_min=float(s.min()), s_max=float(s.max()),
-        ))
-        stats.max_f1 = max(stats.max_f1, f1)
-
-    record(state, step0)
-    snapshots[step0] = state.copy()
-    for k in range(n_steps):
-        t_new = t0 + (k + 1) * config.dt
-        tau_old, _ = element_tangents(mesh, state.x)
-        x, y, kp, p, res = solve_step_2d(
-            mesh, scn, A_v, B_v, layout, config.dt, t_new, state.x,
-            state.kappa, state.bend_moment, state.rest_density,
-            config.residual_tol,
-        )
-        _probe_step(stats, tau_old, x, mesh.h, state.rest_density, res)
-        state = RodState2D(t_new, x, kp, y, p, state.rest_density)
-        record(state, step0 + k + 1)
-        idx = step0 + k + 1
-        if config.snapshot_stride > 0 and idx % config.snapshot_stride == 0:
-            snapshots[idx] = state.copy()
-    snapshots[step0 + n_steps] = state.copy()
-
-    return RunResult(
-        config=config, final_state=state, records=records,
-        snapshots=snapshots, stats=stats,
-        wall_time=time.perf_counter() - wall0,
-    )
+    step, measure = _planar_model(config, mesh)
+    return _run_model(config, 2, mesh, state,
+                      lambda: initial_state_2d(mesh, config.scenario),
+                      step, measure)
 
 
 def embed_in_space(mesh: Mesh, state: RodState2D) -> RodState3D:

@@ -11,6 +11,7 @@ from rodfem.geometry import uniform_mesh
 from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
+from rodfem.solver2d import run2d
 
 from reference_dense import ref_step_3d, ref_transport, ref_tangents, ref_averaged_tangent
 
@@ -161,11 +162,31 @@ def test_resumed_run_reproduces_one_shot_run():
     assert tail.records[-1].step == 25
 
 
-def test_resume_with_wrong_mesh_is_rejected():
+MODELS = {"spatial": (run, 3), "planar": (run2d, 2)}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_resume_with_wrong_mesh_is_rejected(model):
+    driver, dim = MODELS[model]
     scn = builtin_scenario("relaxation")
-    head = run(SimConfig(scn, n_vertices=8, dt=1.0, t_final=2.0))
+    head = driver(SimConfig(scn, n_vertices=8, dt=1.0, t_final=2.0,
+                            dimension=dim))
     with pytest.raises(InvalidParameterError):
-        run(SimConfig(scn, n_vertices=16, dt=1.0), state=head.final_state)
+        driver(SimConfig(scn, n_vertices=16, dt=1.0, dimension=dim),
+               state=head.final_state)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_driver_rejects_the_other_models_config_and_state(model):
+    driver, dim = MODELS[model]
+    other_driver, other_dim = MODELS["planar" if dim == 3 else "spatial"]
+    scn = builtin_scenario("relaxation")
+    pin = dict(n_vertices=8, dt=1.0, t_final=2.0)
+    with pytest.raises(InvalidParameterError, match="config.dimension"):
+        driver(SimConfig(scn, dimension=other_dim, **pin))
+    other = other_driver(SimConfig(scn, dimension=other_dim, **pin))
+    with pytest.raises(InvalidParameterError, match="resume state"):
+        driver(SimConfig(scn, dimension=dim, **pin), state=other.final_state)
 
 
 def test_per_step_renormalization_is_counted_and_tight():
