@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AssemblyError, SolverError
 from .geometry import FrozenGeometry, Mesh, frozen_geometry  # noqa: F401 (re-exported)
-from .linsolve import BandedMatrix, factorize, relative_residual, solve
+from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
 
 _D3 = np.arange(3)
@@ -70,22 +70,22 @@ class _Triplets:
         return matrix
 
 
-def _solve_increment(matrix, b, x_off, x, what, t_new, residual_tol):
+def _solve_increment(matrix, b, c, x_off, x, what, t_new, residual_tol):
     """Solve one step system; returns the solution and its relative residual.
 
-    x are the previous positions, whose slots start at x_off.
+    c = b - A·base is the right-hand side of the increment over base, which
+    holds the previous positions x in their slots (from x_off).  b only
+    scales the residual |c - A·increment| / |b|.
     """
     # solve for the position update, not the position: keeping O(1)
     # coordinates out of the unknowns keeps the length constraint satisfied
-    # to the rounding floor of the increment rather than of the coordinates
-    # (the shift is accumulated in extended precision for the same reason)
-    base = np.zeros(matrix.n)
-    base[x_off[:, None] + np.arange(x.shape[1])] = x
-    shift = np.asarray(b, dtype=np.longdouble) - matrix.matvec(
-        base.astype(np.longdouble)
-    )
-    sol = base + solve(factorize(matrix), shift.astype(float))
-    res = relative_residual(matrix, sol, b)
+    # to the rounding floor of the increment rather than of the coordinates.
+    # c is assembled from position differences because b - A·base in
+    # float64 would round at the size of the coordinates.
+    sol, r = solve(factorize(matrix), c)
+    sol[x_off[:, None] + np.arange(x.shape[1])] += x
+    bnorm = np.linalg.norm(b)
+    res = float(np.linalg.norm(r) / (bnorm if bnorm > 0.0 else 1.0))
     if not res <= residual_tol:
         raise SolverError(
             f"{what} at t={t_new} left relative residual {res:.3e} "
@@ -190,10 +190,11 @@ def _cross_matrices(v: np.ndarray) -> np.ndarray:
 
 def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
                   bend_moment, spin, rest_density):
-    """Banded matrix and right-hand side for one step.
+    """Step matrix A, right-hand side b, and c = b - A·base for one step.
 
     All state arguments are the previous step's fields; rest_density is the
     per-element length density the constraint rows pin the new positions to.
+    base holds x in the position slots and zero elsewhere.
     """
     mesh = ctx.mesh
     lay = ctx.layout
@@ -211,6 +212,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     xo, yo, ko, mo = lay.x_off, lay.y_off, lay.k_off, lay.m_off
     zo, go, po = lay.z_off, lay.g_off, lay.p_off
     ii = np.arange(1, n - 1)
+    dx = x[1:] - x[:-1]
     b = np.zeros(lay.ndof)
 
     m = _Triplets(3)
@@ -291,25 +293,33 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     m.put(go, mo[1:], -np.ones(ne))
     m.put_vec_cols(go, xo[1:], tk / dt)
     m.put_vec_cols(go, xo[:-1], -tk / dt)
-    b[go] = hs * twist / dt + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
+    twist_rate = hs * twist / dt
+    b[go] = twist_rate + np.einsum("ed,ed->e", tk, dx) / dt
 
     # -- inextensibility per element (tension rows)
     m.put_vec_cols(po, xo[1:], tau)
     m.put_vec_cols(po, xo[:-1], -tau)
     b[po] = h * rest_density
 
-    return m.banded(lay.ndof, b, "step"), b
+    # -- c row by row: rows without a position column keep b
+    c = b.copy()
+    c[xo[:, None] + _D3] = 0.0
+    c[ko[ii][:, None] + _D3] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    c[go] = twist_rate
+    c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
+
+    return m.banded(lay.ndof, b, "step"), b, c
 
 
 def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
                spin, rest_density, residual_tol=1e-10) -> StepResult3D:
     """Assemble, factor, and solve one step; decode the solution fields."""
-    matrix, b = assemble_step(
+    matrix, b, c = assemble_step(
         ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment, spin,
         rest_density,
     )
     lay = ctx.layout
-    sol, res = _solve_increment(matrix, b, lay.x_off, x, "step", t_new,
+    sol, res = _solve_increment(matrix, b, c, lay.x_off, x, "step", t_new,
                                 residual_tol)
 
     n = ctx.mesh.n_vertices

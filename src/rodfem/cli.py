@@ -46,7 +46,7 @@ from .errors import (
     InvalidParameterError,
     RodfemError,
 )
-from .geometry import averaged_tangent, element_tangents, perp, uniform_mesh
+from .geometry import frozen_geometry, perp, uniform_mesh
 from .materials import IsotropicDrag, ResistiveForceDrag
 from .scenarios import Scenario, builtin_scenario, compile_expr
 from .solver2d import embed_in_space, run2d, spun_up_state_2d
@@ -284,8 +284,7 @@ def _snapshot_files(out_dir, mesh, step, state):
     vname, ename = f"snap_{step}.csv", f"snapel_{step}.csv"
     planar = state.x.shape[1] == 2
     if planar:
-        tau, _ = element_tangents(mesh, state.x)
-        nu = perp(averaged_tangent(tau))
+        nu = perp(frozen_geometry(mesh, state.x).ttau)
         write_snapshot(out_dir / vname, out_dir / ename, mesh, state.x, nu,
                        None, state.kappa, None, None, None, state.tension)
     else:
@@ -300,8 +299,7 @@ def _kymograph_samples(mesh, snapshots):
     for step in sorted(snapshots):
         st = snapshots[step]
         if st.x.shape[1] == 2:
-            tau, _ = element_tangents(mesh, st.x)
-            nu = perp(averaged_tangent(tau))
+            nu = perp(frozen_geometry(mesh, st.x).ttau)
             alpha = np.einsum("nd,nd->n", st.kappa, nu)
             samples.append({"t": st.t, "alpha": alpha,
                             "beta": np.zeros_like(alpha), "gamma": None})

@@ -20,7 +20,7 @@ class DiagnosticsRecord:
     f2: float
     f2_increment: float
     total_length: float
-    com: np.ndarray  # always length 3; planar runs report zero third component
+    com: np.ndarray  # length = model dimension; write_diagnostics pads to 3
     s_min: float
     s_max: float
 

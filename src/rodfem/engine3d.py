@@ -95,7 +95,7 @@ class RunStats:
     max_constraint_residual: float = 0.0
     max_length_identity_error: float = 0.0  # relative to the rest density
     min_stretch: float = np.inf             # min of s / rest density
-    max_solver_residual: float = 0.0
+    max_solver_residual: float = 0.0        # |c - A·increment| / |b| per step
     max_abs_x3: float = 0.0
     max_abs_beta: float = 0.0
     max_abs_twist: float = 0.0
@@ -311,7 +311,7 @@ def run(config: SimConfig, state: RodState3D = None,
             gm.w, ctx.bend_stiffness, st.kappa, kpref,
             mesh.h * gm.s, ctx.twist_stiffness, st.twist, gamma0,
         )
-        return energy, frame_error(mesh, st.x, st.e1, st.e2)
+        return energy, frame_error(gm, st.e1, st.e2)
 
     return _run_model(config, 3, mesh, state,
                       lambda: initial_state(mesh, scn, initial), step, measure)

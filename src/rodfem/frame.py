@@ -10,7 +10,7 @@ rounding level, without any reprojection.
 import numpy as np
 
 from .errors import FrameTransportError
-from .geometry import Mesh, averaged_tangent, element_tangents, lumped_weights
+from .geometry import FrozenGeometry
 
 #: 1 + cos(angle between old/new tangent) below this is treated as antipodal
 ANTIPODAL_GUARD = 1e-8
@@ -73,17 +73,15 @@ def orthonormality_defects(ttau, e1, e2) -> np.ndarray:
     )
 
 
-def frame_error(mesh: Mesh, x, e1, e2) -> float:
+def frame_error(geom: FrozenGeometry, e1, e2) -> float:
     """Aggregate orthonormality error, weighted by the current arc measure.
 
     Square root of the vertex-quadrature integral of the summed squared
-    deviations of all six products among (vertex tangent, e1, e2).
+    deviations of all six products among (vertex tangent, e1, e2); geom is
+    the geometry of the positions the frame belongs to.
     """
-    tau, s = element_tangents(mesh, x)
-    ttau = averaged_tangent(tau)
-    w = lumped_weights(mesh, s)
-    defects = orthonormality_defects(ttau, e1, e2)
-    return float(np.sqrt(np.sum(w * np.sum(defects**2, axis=0))))
+    defects = orthonormality_defects(geom.ttau, e1, e2)
+    return float(np.sqrt(np.sum(geom.w * np.sum(defects**2, axis=0))))
 
 
 def renormalize(ttau, e1, e2):

@@ -18,8 +18,8 @@ from .diagnostics import elastic_energy
 from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
                        _spin_up)
 from .errors import AssemblyError
-from .geometry import (Mesh, averaged_tangent, element_tangents,
-                       frozen_geometry, perp, uniform_mesh, vertex_curvature)
+from .geometry import (Mesh, element_tangents, frozen_geometry, perp,
+                       uniform_mesh, vertex_curvature)
 from .scenarios import evaluate_field
 
 _D2 = np.arange(2)
@@ -84,10 +84,10 @@ def initial_state_2d(mesh: Mesh, scenario) -> RodState2D:
     )
 
 
-def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
-                  geom, dt, t_new, x, kappa, bend_moment, rest_density,
-                  residual_tol=1e-10):
-    """One implicit planar step; `geom` is the frozen geometry of x."""
+def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
+                     geom, dt, t_new, x, kappa, rest_density):
+    """Step matrix A, right-hand side b, and c = b - A·base for one planar
+    step; see `assembly3d.assemble_step`."""
     n, ne = mesh.n_vertices, mesh.n_elements
     h, u = mesh.h, mesh.u
     tau, s, ttau, w = geom.tau, geom.s, geom.ttau, geom.w
@@ -100,6 +100,7 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
 
     xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
     ii = np.arange(1, n - 1)
+    dx = x[1:] - x[:-1]
     b = np.zeros(layout.ndof)
     m = _Triplets(2)
 
@@ -151,18 +152,32 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     m.put_vec_cols(po, xo[:-1], -tau)
     b[po] = h * rest_density
 
-    matrix = m.banded(layout.ndof, b, "planar step")
-    sol, res = _solve_increment(matrix, b, xo, x, "planar step", t_new,
-                                residual_tol)
+    # c row by row: rows without a position column keep b
+    c = b.copy()
+    c[xo[:, None] + _D2] = 0.0
+    c[ko[ii][:, None] + _D2] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
+    return m.banded(layout.ndof, b, "planar step"), b, c
 
-    x_new = sol[xo[:, None] + _D2]
+
+def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
+                  geom, dt, t_new, x, kappa, bend_moment, rest_density,
+                  residual_tol=1e-10):
+    """One implicit planar step; `geom` is the frozen geometry of x."""
+    matrix, b, c = assemble_step_2d(
+        mesh, scenario, bend_stiffness, bend_viscosity, layout, geom, dt,
+        t_new, x, kappa, rest_density,
+    )
+    n = mesh.n_vertices
+    sol, res = _solve_increment(matrix, b, c, layout.x_off, x, "planar step",
+                                t_new, residual_tol)
     y_new = np.zeros((n, 2))
     k_new = np.zeros((n, 2))
-    y_new[1:-1] = sol[yo[ii][:, None] + _D2]
-    k_new[1:-1] = sol[ko[ii][:, None] + _D2]
-    ab = evaluate_field(scenario.kappa1_pref, u[[0, -1]], t_new)
-    k_new[[0, -1]] = ab[:, None] * nu[[0, -1]]
-    return x_new, y_new, k_new, sol[po], res
+    y_new[1:-1] = sol[layout.y_off[1:-1, None] + _D2]
+    k_new[1:-1] = sol[layout.k_off[1:-1, None] + _D2]
+    ab = evaluate_field(scenario.kappa1_pref, mesh.u[[0, -1]], t_new)
+    k_new[[0, -1]] = ab[:, None] * perp(geom.ttau[[0, -1]])
+    return sol[layout.x_off[:, None] + _D2], y_new, k_new, sol[layout.p_off], res
 
 
 def _planar_model(config, mesh):
@@ -229,8 +244,7 @@ def embed_in_space(mesh: Mesh, state: RodState2D) -> RodState3D:
         out[:, :2] = a
         return out
 
-    tau, _ = element_tangents(mesh, state.x)
-    nu = perp(averaged_tangent(tau))
+    nu = perp(frozen_geometry(mesh, state.x).ttau)
     e2 = np.zeros((n, 3))
     e2[:, 2] = 1.0
     return RodState3D(

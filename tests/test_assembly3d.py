@@ -11,6 +11,7 @@ import pytest
 from rodfem.assembly3d import (
     DofLayout3D,
     StepContext3D,
+    assemble_step,
     frozen_geometry,
     solve_step,
 )
@@ -25,6 +26,7 @@ from rodfem.geometry import (
 from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
+from rodfem.solver2d import DofLayout2D, assemble_step_2d
 
 from reference_dense import ref_step_3d
 
@@ -169,3 +171,41 @@ def test_step_is_translation_equivariant():
     np.testing.assert_allclose(got2.x, got.x + shift, atol=1e-10)
     np.testing.assert_allclose(got2.tension, got.tension, atol=1e-10)
     np.testing.assert_allclose(got2.kappa, got.kappa, atol=1e-10)
+
+
+def assembled_step(model):
+    """(matrix, b, c, position offsets, previous positions) of one bent step."""
+    dt, t_new = 1.0 / 16.0, 0.25
+    if model == "spatial":
+        mesh, st = bent_test_state(8, seed=4)
+        ctx = StepContext3D(mesh, builtin_scenario("worm3d"))
+        matrix, b, c = assemble_step(
+            ctx, frozen_geometry(mesh, st["x"]), dt, t_new, st["x"], st["e1"],
+            st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
+        )
+        return matrix, b, c, ctx.layout.x_off, st["x"]
+    rng = np.random.default_rng(4)
+    mesh = uniform_mesh(8)
+    x = np.column_stack([mesh.u, 0.15 * np.sin(2.0 * np.pi * mesh.u)])
+    _, s = element_tangents(mesh, x)
+    kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(8, 2))
+    scn = builtin_scenario("worm2d")
+    layout = DofLayout2D(8)
+    matrix, b, c = assemble_step_2d(
+        mesh, scn, scn.material.bend_stiffness_at(mesh.u),
+        scn.material.bend_viscosity_at(mesh.u), layout,
+        frozen_geometry(mesh, x), dt, t_new, x, kappa,
+        s * (1.0 + 0.05 * rng.uniform(size=7)),
+    )
+    return matrix, b, c, layout.x_off, x
+
+
+@pytest.mark.parametrize("model", ["spatial", "planar"])
+def test_assembled_increment_rhs_is_b_minus_a_base(model):
+    # the hand-derived rows of c must equal the product they replace
+    matrix, b, c, x_off, x = assembled_step(model)
+    base = np.zeros(matrix.n, dtype=np.longdouble)
+    base[x_off[:, None] + np.arange(x.shape[1])] = x
+    want = b.astype(np.longdouble) - matrix.toarray().astype(np.longdouble) @ base
+    assert np.abs(want).max() > 1e-3 * np.linalg.norm(b)  # c is not all zero
+    assert np.linalg.norm(c - want) <= 1e-13 * np.linalg.norm(b)

@@ -189,6 +189,20 @@ def test_driver_rejects_the_other_models_config_and_state(model):
         driver(SimConfig(scn, dimension=dim, **pin), state=other.final_state)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("model", MODELS)
+def test_tiny_rods_solve_below_the_band_height(model, n):
+    # n = 3 and 4 give systems with fewer unknowns than band rows
+    # (kl + ku + 1), the padded case of the band product
+    driver, dim = MODELS[model]
+    res = driver(SimConfig(builtin_scenario("relaxation"), n_vertices=n,
+                           dt=0.5, t_final=2.0, dimension=dim))
+    assert res.stats.steps == 4
+    assert 0.0 < res.stats.max_solver_residual < 1e-13
+    assert res.stats.max_constraint_residual < 1e-13
+    assert np.all(np.isfinite(res.final_state.x))
+
+
 def test_per_step_renormalization_is_counted_and_tight():
     scn = builtin_scenario("relaxation")
     res = run(SimConfig(scn, n_vertices=8, dt=0.5, t_final=5.0,

@@ -13,7 +13,7 @@ from rodfem.frame import (
     renormalize,
     transport_frame,
 )
-from rodfem.geometry import Mesh, uniform_mesh
+from rodfem.geometry import frozen_geometry, uniform_mesh
 
 from reference_dense import ref_transport
 
@@ -111,13 +111,14 @@ def test_frame_error_is_a_weighted_aggregate():
     x = np.column_stack([mesh.u, np.zeros(5), np.zeros(5)])
     e1 = np.tile([0.0, 1.0, 0.0], (5, 1))
     e2 = np.tile([0.0, 0.0, 1.0], (5, 1))
-    assert frame_error(mesh, x, e1, e2) == 0.0
+    geom = frozen_geometry(mesh, x)
+    assert frame_error(geom, e1, e2) == 0.0
     # perturb e1 at one interior vertex by delta along the tangent:
     # defects |t.e1| = delta and |e1.e1 - 1| = delta^2, weight w = 1/4
     delta = 1e-3
     e1[2, 0] = delta
     expected = np.sqrt(0.25 * (delta**2 + (delta**2) ** 2))
-    assert frame_error(mesh, x, e1, e2) == pytest.approx(expected, rel=1e-12)
+    assert frame_error(geom, e1, e2) == pytest.approx(expected, rel=1e-12)
 
 
 @given(arrays(np.float64, (6,), elements=st.floats(-2.0, 2.0)))
@@ -127,4 +128,4 @@ def test_frame_error_never_negative(phis):
     mesh = uniform_mesh(6)
     x = np.column_stack([mesh.u, np.zeros(6), np.zeros(6)])
     f1, f2 = transport_frame(e1, e2, t, t, phis)
-    assert frame_error(mesh, x, f1, f2) >= 0.0
+    assert frame_error(frozen_geometry(mesh, x), f1, f2) >= 0.0

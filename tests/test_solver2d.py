@@ -87,7 +87,7 @@ def test_planar_records_have_no_frame_error_column_content():
     scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=0.0)
     res = run2d(SimConfig(scn, n_vertices=8, dt=0.5, t_final=1.0, dimension=2))
     assert all(r.f2 == 0.0 and r.f2_increment == 0.0 for r in res.records)
-    assert all(r.com.shape == (2,) or r.com[2] == 0.0 for r in res.records)
+    assert all(r.com.shape == (2,) for r in res.records)
 
 
 def test_embedding_reproduces_planar_dynamics_exactly():
