@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Fingerprint a fixed set of trajectories, one SHA-256 per case.
+
+Each case is a short run of the library.  Its digest covers the dtype, shape
+and bytes of every `final_state` array, every `DiagnosticsRecord` field and
+every `RunStats` field, so two source trees that print the same lines
+produced bit-identical trajectories.  Run it on both trees of a change that
+must not move any number and compare the output:
+
+    PYTHONPATH=src python3 scripts/trajectory_digest.py > after.txt
+
+BLAS runs on one thread: the band product's rounding depends on the thread
+count, and the digest must depend on the code only.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from rodfem import SimConfig, builtin_scenario, run, run2d  # noqa: E402
+
+DT = 1.0 / 16.0
+T_FINAL = 1.0
+
+#: (case name, scenario, n_vertices, dimension, resumed from t = T_FINAL / 2)
+CASES = (
+    ("relaxation-n4", "relaxation", 4, 3, False),
+    ("relaxation-n16", "relaxation", 16, 3, False),
+    ("relaxation-n128", "relaxation", 128, 3, False),
+    ("worm3d-n3", "worm3d", 3, 3, False),
+    ("worm3d-n32", "worm3d", 32, 3, False),
+    ("worm2d-n3", "worm2d", 3, 2, False),
+    ("worm2d-n64", "worm2d", 64, 2, False),
+    ("worm3d-n32-resumed", "worm3d", 32, 3, True),
+    ("worm2d-n64-resumed", "worm2d", 64, 2, True),
+)
+
+
+def _feed(h, name, value):
+    a = np.asarray(value)
+    h.update(f"{name}|{a.dtype.str}|{a.shape}|".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def digest(result) -> str:
+    h = hashlib.sha256()
+    for f in dataclasses.fields(result.final_state):
+        _feed(h, f"state.{f.name}", getattr(result.final_state, f.name))
+    for i, rec in enumerate(result.records):
+        for f in dataclasses.fields(rec):
+            _feed(h, f"record{i}.{f.name}", getattr(rec, f.name))
+    for f in dataclasses.fields(result.stats):
+        _feed(h, f"stats.{f.name}", getattr(result.stats, f.name))
+    return h.hexdigest()
+
+
+def run_case(scenario, n_vertices, dimension, resumed):
+    driver = run if dimension == 3 else run2d
+
+    def config(t_final):
+        return SimConfig(builtin_scenario(scenario), n_vertices=n_vertices,
+                         dt=DT, t_final=t_final, dimension=dimension)
+
+    if not resumed:
+        return driver(config(T_FINAL))
+    half = driver(config(T_FINAL / 2.0))
+    return driver(config(T_FINAL), state=half.final_state)
+
+
+def main():
+    for name, scenario, n_vertices, dimension, resumed in CASES:
+        print(f"{name:<20} {digest(run_case(scenario, n_vertices, dimension, resumed))}")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,64 +17,116 @@ from .geometry import FrozenGeometry, Mesh, frozen_geometry  # noqa: F401 (re-ex
 from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
 
-_D3 = np.arange(3)
+
+@dataclass(frozen=True)
+class BandPattern:
+    """Where the entries of one step matrix go in its band, in put order.
+
+    positions are the distinct flat positions of the entries in the
+    Fortran-ordered band data (see `BandedMatrix.flat_indices`), and inverse
+    maps every put entry to its index in positions.
+    """
+
+    n: int
+    kl: int
+    ku: int
+    positions: np.ndarray = field(repr=False)
+    inverse: np.ndarray = field(repr=False)
+
+
+def _band_pattern(n, rows, cols) -> BandPattern:
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
+    d = r - c
+    kl, ku = int(d.max()), int(-d.min())
+    flat = BandedMatrix(n, kl, ku).flat_indices(r, c)
+    del r, c, d     # freed before np.unique makes its sorted copies
+    positions, inverse = np.unique(flat, return_inverse=True)
+    return BandPattern(n, kl, ku, positions, inverse)
 
 
 class _Triplets:
-    """Coordinate entries of one step matrix, put in blocks of `dim` slots.
+    """Values of one step matrix, put in blocks of `dim` slots.
 
-    Shared by the spatial and the planar assembler.  Entries are summed into
-    the band in the order they were put.
+    Shared by the spatial and the planar assembler.  The matrix's sparsity
+    pattern depends only on the unknown layout, so it is recorded once per
+    run, on the per-run `owner` (a StepContext3D or a DofLayout2D): while
+    owner.pattern is None the put helpers also collect each entry's row and
+    column, and `banded` stores their BandPattern there.  Every later
+    assembly through the same owner puts values only, in the same order.
+    Entries at the same position are summed in the order they were put.
     """
 
-    def __init__(self, dim):
+    def __init__(self, dim, owner):
         self.d = np.arange(dim)
-        self.rows, self.cols, self.vals = [], [], []
+        self.owner = owner
+        self.vals = []
+        self.rows = self.cols = None
+        if owner.pattern is None:
+            self.rows, self.cols = [], []
+
+    def _index(self, r, c, shape):
+        self.rows.append(np.broadcast_to(r, shape).ravel())
+        self.cols.append(np.broadcast_to(c, shape).ravel())
 
     def put(self, r, c, v):
-        self.rows.append(np.asarray(r, dtype=np.int64).ravel())
-        self.cols.append(np.asarray(c, dtype=np.int64).ravel())
-        self.vals.append(np.asarray(v, dtype=float).ravel())
+        """Entries v at rows r and columns c."""
+        v = np.asarray(v, dtype=float)
+        if self.rows is not None:
+            self._index(r, c, v.shape)
+        self.vals.append(v.ravel())
 
     def put_blocks(self, r0, c0, mats):
         """A (dim, dim) block at each (r0, c0)."""
-        shp = mats.shape
-        r = np.broadcast_to(r0[:, None, None] + self.d[None, :, None], shp)
-        c = np.broadcast_to(c0[:, None, None] + self.d[None, None, :], shp)
-        self.put(r, c, mats)
+        if self.rows is not None:
+            self._index(r0[:, None, None] + self.d[None, :, None],
+                        c0[:, None, None] + self.d[None, None, :], mats.shape)
+        self.vals.append(mats.ravel())
 
     def put_diag(self, r0, c0, coef):
         """coef times the (dim, dim) identity at each (r0, c0)."""
-        self.put(r0[:, None] + self.d, c0[:, None] + self.d,
-                 np.broadcast_to(coef[:, None], (coef.size, self.d.size)))
+        if self.rows is not None:
+            self._index(r0[:, None] + self.d, c0[:, None] + self.d,
+                        (coef.size, self.d.size))
+        self.vals.append(np.repeat(coef, self.d.size))
 
     def put_vec_rows(self, r0, c0, vecs):
         """A vector down dim rows from r0, in the single column c0."""
-        self.put(r0[:, None] + self.d, np.broadcast_to(c0[:, None], vecs.shape),
-                 vecs)
+        if self.rows is not None:
+            self._index(r0[:, None] + self.d, c0[:, None], vecs.shape)
+        self.vals.append(vecs.ravel())
 
     def put_vec_cols(self, r0, c0, vecs):
         """A vector along dim columns from c0, in the single row r0."""
-        self.put(np.broadcast_to(r0[:, None], vecs.shape), c0[:, None] + self.d,
-                 vecs)
+        if self.rows is not None:
+            self._index(r0[:, None], c0[:, None] + self.d, vecs.shape)
+        self.vals.append(vecs.ravel())
 
     def banded(self, ndof, b, what) -> BandedMatrix:
         """The band matrix holding every entry; rejects non-finite input."""
-        r = np.concatenate(self.rows)
-        c = np.concatenate(self.cols)
         v = np.concatenate(self.vals)
         if not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
             raise AssemblyError(f"non-finite entries in the {what} system")
-        matrix = BandedMatrix(ndof, int(np.max(r - c)), int(np.max(c - r)))
-        matrix.add_entries(r, c, v)
+        if self.rows is not None:
+            self.owner.pattern = _band_pattern(ndof, self.rows, self.cols)
+            self.rows = self.cols = None
+        pat = self.owner.pattern
+        if v.size != pat.inverse.size:
+            raise AssemblyError(
+                f"{what} system put {v.size} entries, its band pattern "
+                f"holds {pat.inverse.size}"
+            )
+        matrix = BandedMatrix(pat.n, pat.kl, pat.ku)
+        matrix.data.reshape(-1, order="F")[pat.positions] = np.bincount(
+            pat.inverse, weights=v)
         return matrix
 
 
-def _solve_increment(matrix, b, c, x_off, x, what, t_new, residual_tol):
+def _solve_increment(matrix, b, c, x_slots, x, what, t_new, residual_tol):
     """Solve one step system; returns the solution and its relative residual.
 
     c = b - A·base is the right-hand side of the increment over base, which
-    holds the previous positions x in their slots (from x_off).  b only
+    holds the previous positions x in their slots x_slots.  b only
     scales the residual |c - A·increment| / |b|.
     """
     # solve for the position update, not the position: keeping O(1)
@@ -83,7 +135,7 @@ def _solve_increment(matrix, b, c, x_off, x, what, t_new, residual_tol):
     # c is assembled from position differences because b - A·base in
     # float64 would round at the size of the coordinates.
     sol, r = solve(factorize(matrix), c)
-    sol[x_off[:, None] + np.arange(x.shape[1])] += x
+    sol[x_slots] += x
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(r) / (bnorm if bnorm > 0.0 else 1.0))
     if not res <= residual_tol:
@@ -104,6 +156,8 @@ class DofLayout3D:
     so neither enters the system there.  Element blocks (twist moment, twist,
     tension) sit between consecutive vertex blocks.  Rows are assigned to the
     same slots as the unknown they balance, which keeps the band tight.
+    x_slots, y_slots and k_slots list the three slots of each vertex's
+    position and of each interior vertex's bending moment and curvature.
     """
 
     n_vertices: int
@@ -114,6 +168,9 @@ class DofLayout3D:
     z_off: np.ndarray = field(init=False, repr=False)
     g_off: np.ndarray = field(init=False, repr=False)
     p_off: np.ndarray = field(init=False, repr=False)
+    x_slots: np.ndarray = field(init=False, repr=False)   # (n, 3)
+    y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 3)
+    k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 3)
     ndof: int = field(init=False)
 
     def __post_init__(self):
@@ -139,12 +196,17 @@ class DofLayout3D:
         self.z_off = 13 * el + 4
         self.g_off = self.z_off + 1
         self.p_off = self.z_off + 2
+        d3 = np.arange(3)
+        self.x_slots = x_off[:, None] + d3
+        self.y_slots = y_off[1:-1, None] + d3
+        self.k_slots = k_off[1:-1, None] + d3
         self.ndof = 13 * n - 15
 
 
 @dataclass
 class StepContext3D:
-    """Per-run constants: mesh, layout, and sampled material fields."""
+    """Per-run constants: mesh, layout, sampled material fields, and the
+    step matrix's band pattern (recorded by the first assembly)."""
 
     mesh: Mesh
     scenario: Scenario
@@ -153,6 +215,7 @@ class StepContext3D:
     bend_viscosity: np.ndarray = field(init=False, repr=False)    # vertices
     twist_stiffness: np.ndarray = field(init=False, repr=False)   # midpoints
     twist_viscosity: np.ndarray = field(init=False, repr=False)   # midpoints
+    pattern: BandPattern = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mat = self.scenario.material
@@ -211,20 +274,18 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 
     xo, yo, ko, mo = lay.x_off, lay.y_off, lay.k_off, lay.m_off
     zo, go, po = lay.z_off, lay.g_off, lay.p_off
-    ii = np.arange(1, n - 1)
+    ii = slice(1, n - 1)        # interior vertices
     dx = x[1:] - x[:-1]
     b = np.zeros(lay.ndof)
 
-    m = _Triplets(3)
+    m = _Triplets(3, ctx)
 
     # -- momentum balance at every vertex (rows at the position slots)
     drag_lumped = np.zeros((n, 3, 3))
     drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
     drag_lumped[1:] += 0.5 * hs[:, None, None] * K
     m.put_blocks(xo, xo, drag_lumped / dt)
-    b[(xo[:, None] + _D3).ravel()] = (
-        np.einsum("nij,nj->ni", drag_lumped, x) / dt
-    ).ravel()
+    b[lay.x_slots] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
 
     # tension and twist-moment forces of element e on its two end vertices
     m.put_vec_rows(xo[:-1], po, tau)
@@ -234,12 +295,12 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 
     # transverse bending force, projected difference of the bending moment
     coefP = P / hs[:, None, None]
-    mh = np.arange(ne - 1)      # elements whose right vertex is interior
-    ml = np.arange(1, ne)       # elements whose left vertex is interior
-    m.put_blocks(xo[mh], yo[mh + 1], coefP[mh])
-    m.put_blocks(xo[mh + 1], yo[mh + 1], -coefP[mh])
-    m.put_blocks(xo[ml], yo[ml], -coefP[ml])
-    m.put_blocks(xo[ml + 1], yo[ml], coefP[ml])
+    # elements whose right vertex is interior (coefP[:-1]), then those
+    # whose left vertex is interior (coefP[1:])
+    m.put_blocks(xo[:-2], yo[ii], coefP[:-1])
+    m.put_blocks(xo[ii], yo[ii], -coefP[:-1])
+    m.put_blocks(xo[ii], yo[ii], -coefP[1:])
+    m.put_blocks(xo[2:], yo[ii], coefP[1:])
 
     # -- bending constitutive law at interior vertices (bending-moment rows)
     ti = ttau[ii]
@@ -257,21 +318,18 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     alpha = evaluate_field(ctx.scenario.kappa1_pref, u, t_new)
     beta = evaluate_field(ctx.scenario.kappa2_pref, u, t_new)
     pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
-    b[(yo[ii][:, None] + _D3).ravel()] = (
-        w[ii][:, None]
-        * (
-            -A_i[:, None] * pref
-            - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
-        )
-    ).ravel()
+    b[lay.y_slots] = w[ii][:, None] * (
+        -A_i[:, None] * pref
+        - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
+    )
 
     # -- curvature identity at interior vertices (curvature rows; zero rhs)
     a_l = 1.0 / hs[:-1]
     a_r = 1.0 / hs[1:]
     m.put_diag(ko[ii], ko[ii], w[ii])
     m.put_diag(ko[ii], xo[ii], a_l + a_r)
-    m.put_diag(ko[ii], xo[ii - 1], -a_l)
-    m.put_diag(ko[ii], xo[ii + 1], -a_r)
+    m.put_diag(ko[ii], xo[:-2], -a_l)
+    m.put_diag(ko[ii], xo[2:], -a_r)
 
     # -- tangential angular momentum at every vertex (spin rows)
     m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
@@ -303,8 +361,8 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 
     # -- c row by row: rows without a position column keep b
     c = b.copy()
-    c[xo[:, None] + _D3] = 0.0
-    c[ko[ii][:, None] + _D3] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    c[lay.x_slots] = 0.0
+    c[lay.k_slots] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
     c[go] = twist_rate
     c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
 
@@ -319,16 +377,15 @@ def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
         rest_density,
     )
     lay = ctx.layout
-    sol, res = _solve_increment(matrix, b, c, lay.x_off, x, "step", t_new,
+    sol, res = _solve_increment(matrix, b, c, lay.x_slots, x, "step", t_new,
                                 residual_tol)
 
     n = ctx.mesh.n_vertices
-    inner = np.arange(1, n - 1)
-    x_new = sol[(lay.x_off[:, None] + _D3)]
+    x_new = sol[lay.x_slots]
     y_new = np.zeros((n, 3))
     k_new = np.zeros((n, 3))
-    y_new[1:-1] = sol[(lay.y_off[inner][:, None] + _D3)]
-    k_new[1:-1] = sol[(lay.k_off[inner][:, None] + _D3)]
+    y_new[1:-1] = sol[lay.y_slots]
+    k_new[1:-1] = sol[lay.k_slots]
     # prescribed end curvature, in the directors the step was built with
     ub = ctx.mesh.u[[0, -1]]
     ab = evaluate_field(ctx.scenario.kappa1_pref, ub, t_new)

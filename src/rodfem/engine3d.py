@@ -78,6 +78,10 @@ class SimConfig:
             )
         if self.renormalize_every < 0 or self.snapshot_stride < 0:
             raise InvalidParameterError("strides must be nonnegative")
+        if not self.residual_tol > 0.0:
+            raise InvalidParameterError(
+                f"residual_tol must be positive, got {self.residual_tol}"
+            )
 
     @property
     def horizon(self) -> float:

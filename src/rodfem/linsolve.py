@@ -6,6 +6,11 @@ LAPACK band storage solves them in O(n) time.  Every solve gets one round of
 iterative refinement (restoring row-wise backward stability), plus a second
 round when the relative residual still exceeds REFINE_TOL, and returns its
 residual vector too; band products are float64 BLAS calls (dgbmv).
+
+Bands are stored Fortran-ordered, the layout LAPACK and BLAS read, so the
+factorization copies a contiguous block and a product copies nothing; entry
+(i, j) sits at flat position (kl + ku + i - j) + ldab * j of the column-major
+data, with ldab = 2 kl + ku + 1.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +29,9 @@ class BandedMatrix:
 
     Entry (i, j) with -ku <= i - j <= kl lives at data[kl + ku + i - j, j];
     the top kl rows are workspace for factorization fill-in and stay zero
-    here.  data is C-ordered so flat scatter indices are (band_row * n + j).
+    here.  data is Fortran-ordered, so the flat scatter index of (i, j) into
+    data.reshape(-1, order="F") is (kl + ku + i - j) + ldab * j, with
+    ldab = 2 kl + ku + 1 rows.
     """
 
     def __init__(self, n: int, kl: int, ku: int):
@@ -33,7 +40,7 @@ class BandedMatrix:
         self.n = n
         self.kl = kl
         self.ku = ku
-        self.data = np.zeros((2 * kl + ku + 1, n))
+        self.data = np.zeros((2 * kl + ku + 1, n), order="F")
 
     @classmethod
     def from_dense(cls, a) -> "BandedMatrix":
@@ -48,26 +55,30 @@ class BandedMatrix:
         return m
 
     def flat_indices(self, rows, cols) -> np.ndarray:
-        """Scatter positions into data.reshape(-1) for entry (row, col)."""
+        """Scatter positions into data.reshape(-1, order="F") for (row, col)."""
         rows = np.asarray(rows)
         cols = np.asarray(cols)
         d = rows - cols
         if d.size and (d.max(initial=0) > self.kl or -d.min(initial=0) > self.ku):
             raise ValueError("entry outside the declared band")
-        return (self.kl + self.ku + d) * self.n + cols
+        return (self.kl + self.ku + d) + self.data.shape[0] * cols
 
     def add_entries(self, rows, cols, vals) -> None:
-        np.add.at(self.data.reshape(-1), self.flat_indices(rows, cols), vals)
+        np.add.at(self.data.reshape(-1, order="F"),
+                  self.flat_indices(rows, cols), vals)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """y = A @ x in float64, one BLAS band product (dgbmv).
 
-        dgbmv wants at least kl + ku + 1 rows, so a smaller matrix is
-        multiplied as that many rows; the padded rows only add entries past
-        n, which are cut off.
+        The whole Fortran-ordered band goes to dgbmv without a copy: its top
+        kl fill-in rows, which are zero, are read as kl more superdiagonals,
+        so the product is taken with kl + ku of them.  dgbmv wants at least
+        as many rows as the band has, so a smaller matrix is multiplied as
+        that many rows; the padded rows only add entries past n, which are
+        cut off.
         """
         kl, ku, n = self.kl, self.ku, self.n
-        y = blas.dgbmv(max(n, kl + ku + 1), n, kl, ku, 1.0, self.data[kl:],
+        y = blas.dgbmv(max(n, 2 * kl + ku + 1), n, kl, kl + ku, 1.0, self.data,
                        np.asarray(x, dtype=float))
         return y[:n]
 

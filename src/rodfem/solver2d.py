@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly3d import _solve_increment, _Triplets
+from .assembly3d import BandPattern, _solve_increment, _Triplets
 from .diagnostics import elastic_energy
 from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
                        _spin_up)
@@ -22,21 +22,26 @@ from .geometry import (Mesh, element_tangents, frozen_geometry, perp,
                        uniform_mesh, vertex_curvature)
 from .scenarios import evaluate_field
 
-_D2 = np.arange(2)
-
-
 @dataclass
 class DofLayout2D:
     """Interleaved numbering: per interior vertex position (2), bending
     moment (2), curvature (2); boundary vertices position only; one tension
-    slot per element in between."""
+    slot per element in between.  x_slots, y_slots and k_slots list the two
+    slots of each vertex's position and of each interior vertex's bending
+    moment and curvature.  A layout is made once per run and also
+    holds the planar step matrix's band pattern, recorded by the first
+    assembly."""
 
     n_vertices: int
     x_off: np.ndarray = field(init=False, repr=False)
     y_off: np.ndarray = field(init=False, repr=False)
     k_off: np.ndarray = field(init=False, repr=False)
     p_off: np.ndarray = field(init=False, repr=False)
+    x_slots: np.ndarray = field(init=False, repr=False)   # (n, 2)
+    y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 2)
+    k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 2)
     ndof: int = field(init=False)
+    pattern: BandPattern = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         n = self.n_vertices
@@ -53,6 +58,10 @@ class DofLayout2D:
         self.y_off = y_off
         self.k_off = k_off
         self.p_off = 7 * np.arange(n - 1, dtype=np.int64) + 2
+        d2 = np.arange(2)
+        self.x_slots = x_off[:, None] + d2
+        self.y_slots = y_off[1:-1, None] + d2
+        self.k_slots = k_off[1:-1, None] + d2
         self.ndof = 7 * n - 9
 
 
@@ -88,7 +97,7 @@ def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
                      geom, dt, t_new, x, kappa, rest_density):
     """Step matrix A, right-hand side b, and c = b - A·base for one planar
     step; see `assembly3d.assemble_step`."""
-    n, ne = mesh.n_vertices, mesh.n_elements
+    n = mesh.n_vertices
     h, u = mesh.h, mesh.u
     tau, s, ttau, w = geom.tau, geom.s, geom.ttau, geom.w
     hs = h * s
@@ -99,28 +108,24 @@ def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     nu = perp(ttau)
 
     xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
-    ii = np.arange(1, n - 1)
+    ii = slice(1, n - 1)        # interior vertices
     dx = x[1:] - x[:-1]
     b = np.zeros(layout.ndof)
-    m = _Triplets(2)
+    m = _Triplets(2, layout)
 
     # momentum balance
     drag_lumped = np.zeros((n, 2, 2))
     drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
     drag_lumped[1:] += 0.5 * hs[:, None, None] * K
     m.put_blocks(xo, xo, drag_lumped / dt)
-    b[(xo[:, None] + _D2).ravel()] = (
-        np.einsum("nij,nj->ni", drag_lumped, x) / dt
-    ).ravel()
+    b[layout.x_slots] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
     m.put_vec_rows(xo[:-1], po, tau)
     m.put_vec_rows(xo[1:], po, -tau)
     coefP = P / hs[:, None, None]
-    mh = np.arange(ne - 1)
-    ml = np.arange(1, ne)
-    m.put_blocks(xo[mh], yo[mh + 1], coefP[mh])
-    m.put_blocks(xo[mh + 1], yo[mh + 1], -coefP[mh])
-    m.put_blocks(xo[ml], yo[ml], -coefP[ml])
-    m.put_blocks(xo[ml + 1], yo[ml], coefP[ml])
+    m.put_blocks(xo[:-2], yo[ii], coefP[:-1])
+    m.put_blocks(xo[ii], yo[ii], -coefP[:-1])
+    m.put_blocks(xo[ii], yo[ii], -coefP[1:])
+    m.put_blocks(xo[2:], yo[ii], coefP[1:])
 
     # bending constitutive law
     ti = ttau[ii]
@@ -131,21 +136,18 @@ def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
     m.put_diag(yo[ii], yo[ii], w[ii])
     m.put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
     alpha = evaluate_field(scenario.kappa1_pref, u, t_new)
-    b[(yo[ii][:, None] + _D2).ravel()] = (
-        w[ii][:, None]
-        * (
-            -A_i[:, None] * alpha[ii, None] * nu[ii]
-            - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
-        )
-    ).ravel()
+    b[layout.y_slots] = w[ii][:, None] * (
+        -A_i[:, None] * alpha[ii, None] * nu[ii]
+        - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
+    )
 
     # curvature identity
     a_l = 1.0 / hs[:-1]
     a_r = 1.0 / hs[1:]
     m.put_diag(ko[ii], ko[ii], w[ii])
     m.put_diag(ko[ii], xo[ii], a_l + a_r)
-    m.put_diag(ko[ii], xo[ii - 1], -a_l)
-    m.put_diag(ko[ii], xo[ii + 1], -a_r)
+    m.put_diag(ko[ii], xo[:-2], -a_l)
+    m.put_diag(ko[ii], xo[2:], -a_r)
 
     # inextensibility
     m.put_vec_cols(po, xo[1:], tau)
@@ -154,8 +156,8 @@ def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
 
     # c row by row: rows without a position column keep b
     c = b.copy()
-    c[xo[:, None] + _D2] = 0.0
-    c[ko[ii][:, None] + _D2] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    c[layout.x_slots] = 0.0
+    c[layout.k_slots] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
     c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
     return m.banded(layout.ndof, b, "planar step"), b, c
 
@@ -169,15 +171,15 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
         t_new, x, kappa, rest_density,
     )
     n = mesh.n_vertices
-    sol, res = _solve_increment(matrix, b, c, layout.x_off, x, "planar step",
+    sol, res = _solve_increment(matrix, b, c, layout.x_slots, x, "planar step",
                                 t_new, residual_tol)
     y_new = np.zeros((n, 2))
     k_new = np.zeros((n, 2))
-    y_new[1:-1] = sol[layout.y_off[1:-1, None] + _D2]
-    k_new[1:-1] = sol[layout.k_off[1:-1, None] + _D2]
+    y_new[1:-1] = sol[layout.y_slots]
+    k_new[1:-1] = sol[layout.k_slots]
     ab = evaluate_field(scenario.kappa1_pref, mesh.u[[0, -1]], t_new)
     k_new[[0, -1]] = ab[:, None] * perp(geom.ttau[[0, -1]])
-    return sol[layout.x_off[:, None] + _D2], y_new, k_new, sol[layout.p_off], res
+    return sol[layout.x_slots], y_new, k_new, sol[layout.p_off], res
 
 
 def _planar_model(config, mesh):

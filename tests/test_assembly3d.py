@@ -173,39 +173,72 @@ def test_step_is_translation_equivariant():
     np.testing.assert_allclose(got2.kappa, got.kappa, atol=1e-10)
 
 
-def assembled_step(model):
-    """(matrix, b, c, position offsets, previous positions) of one bent step."""
+def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
+    """(matrix, b, c, position slots, previous positions, owner) of one bent
+    step.  owner is the per-run object that holds the band pattern: a
+    StepContext3D (spatial) or a DofLayout2D (planar), fresh when None."""
     dt, t_new = 1.0 / 16.0, 0.25
     if model == "spatial":
-        mesh, st = bent_test_state(8, seed=4)
-        ctx = StepContext3D(mesh, builtin_scenario("worm3d"))
+        mesh, st = bent_test_state(n, seed=seed, scale=scale)
+        ctx = owner or StepContext3D(mesh, builtin_scenario("worm3d"))
         matrix, b, c = assemble_step(
             ctx, frozen_geometry(mesh, st["x"]), dt, t_new, st["x"], st["e1"],
             st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
         )
-        return matrix, b, c, ctx.layout.x_off, st["x"]
-    rng = np.random.default_rng(4)
-    mesh = uniform_mesh(8)
-    x = np.column_stack([mesh.u, 0.15 * np.sin(2.0 * np.pi * mesh.u)])
+        return matrix, b, c, ctx.layout.x_slots, st["x"], ctx
+    rng = np.random.default_rng(seed)
+    mesh = uniform_mesh(n)
+    x = np.column_stack([
+        mesh.u,
+        scale * np.sin(2.0 * np.pi * mesh.u) + scale * mesh.u * (1.0 - mesh.u),
+    ])
     _, s = element_tangents(mesh, x)
-    kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(8, 2))
+    kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(n, 2))
     scn = builtin_scenario("worm2d")
-    layout = DofLayout2D(8)
+    layout = owner or DofLayout2D(n)
     matrix, b, c = assemble_step_2d(
         mesh, scn, scn.material.bend_stiffness_at(mesh.u),
         scn.material.bend_viscosity_at(mesh.u), layout,
         frozen_geometry(mesh, x), dt, t_new, x, kappa,
-        s * (1.0 + 0.05 * rng.uniform(size=7)),
+        s * (1.0 + 0.05 * rng.uniform(size=n - 1)),
     )
-    return matrix, b, c, layout.x_off, x
+    return matrix, b, c, layout.x_slots, x, layout
 
 
 @pytest.mark.parametrize("model", ["spatial", "planar"])
 def test_assembled_increment_rhs_is_b_minus_a_base(model):
     # the hand-derived rows of c must equal the product they replace
-    matrix, b, c, x_off, x = assembled_step(model)
+    matrix, b, c, x_slots, x, _ = assembled_step(model)
     base = np.zeros(matrix.n, dtype=np.longdouble)
-    base[x_off[:, None] + np.arange(x.shape[1])] = x
+    base[x_slots] = x
     want = b.astype(np.longdouble) - matrix.toarray().astype(np.longdouble) @ base
     assert np.abs(want).max() > 1e-3 * np.linalg.norm(b)  # c is not all zero
     assert np.linalg.norm(c - want) <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+@pytest.mark.parametrize("model", ["spatial", "planar"])
+def test_band_pattern_is_recorded_once_and_reused(model, n):
+    # n = 3, 4 have fewer unknowns than the band has rows
+    first, *_, owner = assembled_step(model, n=n, seed=5, scale=0.15)
+    pattern = owner.pattern
+    assert pattern is not None
+    second, *_ = assembled_step(model, n=n, seed=6, scale=0.25, owner=owner)
+    assert owner.pattern is pattern
+    fresh, *_ = assembled_step(model, n=n, seed=6, scale=0.25)
+    assert not np.array_equal(second.data, first.data)
+    assert np.array_equal(second.data, fresh.data)
+    assert second.data.flags.f_contiguous
+    assert (second.kl, second.ku) == (fresh.kl, fresh.ku)
+
+
+def test_assembly_with_another_runs_pattern_is_rejected():
+    _, *_, small = assembled_step("spatial", n=4)
+    mesh, st = bent_test_state(5)
+    ctx = StepContext3D(mesh, builtin_scenario("worm3d"))
+    ctx.pattern = small.pattern
+    with pytest.raises(AssemblyError, match="band pattern"):
+        assemble_step(
+            ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, st["x"], st["e1"],
+            st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
+        )

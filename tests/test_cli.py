@@ -166,6 +166,19 @@ def test_exit_codes(tmp_path):
                  "--levels", "3..1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_bad_residual_tolerance_is_a_config_error(tmp_path, tol, capsys):
+    cfg = write_cfg(tmp_path, f"""
+        scenario.name = relaxation
+        run.t_final = 2
+        run.residual_tol = {tol}
+    """)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "residual_tol" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any step or output
+
+
 def test_converge_writes_table_with_rates(tmp_path):
     cfg = write_cfg(tmp_path, "scenario.name = relaxation\n")
     out = tmp_path / "conv"

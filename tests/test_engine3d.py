@@ -120,6 +120,17 @@ def test_config_validation():
         SimConfig(scn, snapshot_stride=-1)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_config_rejects_a_residual_tolerance_no_step_can_meet(tol):
+    with pytest.raises(InvalidParameterError, match="residual_tol"):
+        SimConfig(builtin_scenario("relaxation"), residual_tol=tol)
+
+
+def test_config_accepts_an_infinite_residual_tolerance():
+    assert SimConfig(builtin_scenario("relaxation"),
+                     residual_tol=np.inf).residual_tol == np.inf
+
+
 def test_initial_energy_of_the_relaxation_drive():
     # straight start, so the energy is the quadrature of the preferred
     # fields' squared magnitude: 4 sin^2 + 9 cos^2 (three half-turns) plus

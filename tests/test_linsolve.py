@@ -33,6 +33,16 @@ def test_from_dense_round_trip():
     np.testing.assert_allclose(m.toarray(), dense)
 
 
+def test_band_is_fortran_ordered_with_column_major_flat_indices():
+    dense = random_banded_dense(9, 2, 3, seed=3)
+    m = BandedMatrix.from_dense(dense)
+    assert m.data.flags.f_contiguous
+    i, j = np.nonzero(dense)
+    flat = m.flat_indices(i, j)
+    np.testing.assert_array_equal(flat, (2 + 3 + i - j) + (2 * 2 + 3 + 1) * j)
+    np.testing.assert_array_equal(m.data.reshape(-1, order="F")[flat],
+                                  dense[i, j])
+
 def test_matvec_matches_dense():
     dense = random_banded_dense(12, 3, 1, seed=2)
     m = BandedMatrix.from_dense(dense)
