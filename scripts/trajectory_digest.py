@@ -23,22 +23,27 @@ import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from rodfem import SimConfig, builtin_scenario, run, run2d  # noqa: E402
+from rodfem import (SimConfig, builtin_scenario, embed_in_space, run,  # noqa: E402
+                    run2d, spun_up_state_2d, uniform_mesh)
 
 DT = 1.0 / 16.0
 T_FINAL = 1.0
 
-#: (case name, scenario, n_vertices, dimension, resumed from t = T_FINAL / 2)
+#: (case name, scenario, n_vertices, dimension, start).  start is "fresh",
+#: "resumed" (from the state at t = T_FINAL / 2) or "embedded": the spatial
+#: run from the spun-up planar state lifted into space, the path of
+#: `rodfem compare2d3d`, where both assemblers see the same geometry.
 CASES = (
-    ("relaxation-n4", "relaxation", 4, 3, False),
-    ("relaxation-n16", "relaxation", 16, 3, False),
-    ("relaxation-n128", "relaxation", 128, 3, False),
-    ("worm3d-n3", "worm3d", 3, 3, False),
-    ("worm3d-n32", "worm3d", 32, 3, False),
-    ("worm2d-n3", "worm2d", 3, 2, False),
-    ("worm2d-n64", "worm2d", 64, 2, False),
-    ("worm3d-n32-resumed", "worm3d", 32, 3, True),
-    ("worm2d-n64-resumed", "worm2d", 64, 2, True),
+    ("relaxation-n4", "relaxation", 4, 3, "fresh"),
+    ("relaxation-n16", "relaxation", 16, 3, "fresh"),
+    ("relaxation-n128", "relaxation", 128, 3, "fresh"),
+    ("worm3d-n3", "worm3d", 3, 3, "fresh"),
+    ("worm3d-n32", "worm3d", 32, 3, "fresh"),
+    ("worm2d-n3", "worm2d", 3, 2, "fresh"),
+    ("worm2d-n64", "worm2d", 64, 2, "fresh"),
+    ("worm3d-n32-resumed", "worm3d", 32, 3, "resumed"),
+    ("worm2d-n64-resumed", "worm2d", 64, 2, "resumed"),
+    ("worm2d-n32-embedded", "worm2d", 32, 3, "embedded"),
 )
 
 
@@ -60,22 +65,26 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def run_case(scenario, n_vertices, dimension, resumed):
+def run_case(scenario, n_vertices, dimension, start):
     driver = run if dimension == 3 else run2d
 
-    def config(t_final):
+    def config(t_final, dimension=dimension):
         return SimConfig(builtin_scenario(scenario), n_vertices=n_vertices,
                          dt=DT, t_final=t_final, dimension=dimension)
 
-    if not resumed:
+    if start == "fresh":
         return driver(config(T_FINAL))
+    if start == "embedded":
+        planar = spun_up_state_2d(config(T_FINAL, dimension=2))
+        return run(config(T_FINAL),
+                   state=embed_in_space(uniform_mesh(n_vertices), planar))
     half = driver(config(T_FINAL / 2.0))
     return driver(config(T_FINAL), state=half.final_state)
 
 
 def main():
-    for name, scenario, n_vertices, dimension, resumed in CASES:
-        print(f"{name:<20} {digest(run_case(scenario, n_vertices, dimension, resumed))}")
+    for name, scenario, n_vertices, dimension, start in CASES:
+        print(f"{name:<20} {digest(run_case(scenario, n_vertices, dimension, start))}")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .frame import (
     transport_frame,
     orthonormality_defects,
     frame_error,
-    renormalize,
 )
 from .diagnostics import (
     DiagnosticsRecord,
@@ -119,7 +118,6 @@ __all__ = [
     "transport_frame",
     "orthonormality_defects",
     "frame_error",
-    "renormalize",
     # diagnostics
     "DiagnosticsRecord",
     "elastic_energy",

@@ -1,11 +1,15 @@
-"""One implicit time step of the spatial rod model.
+"""One implicit time step of the spatial rod model, and the rows of the
+step system that the spatial and the planar model share.
 
-The step solves simultaneously for position, bending moment, curvature,
-tangential spin rate, twist moment, twist density, and line tension.  All
-geometric coefficients (tangents, length elements, quadrature weights, drag
-matrices) are frozen at the previous step, which makes the system linear.
-Unknowns are interleaved along the rod so the matrix is banded with a
-resolution-independent bandwidth.
+The spatial step solves simultaneously for position, bending moment,
+curvature, tangential spin rate, twist moment, twist density, and line
+tension.  All geometric coefficients (tangents, length elements, quadrature
+weights, drag matrices) are frozen at the previous step, which makes the
+system linear.  Unknowns are interleaved along the rod so the matrix is
+banded with a resolution-independent bandwidth.  The momentum balance, the
+bending law, the curvature identity and inextensibility are put once, by
+`_rod_rows`, for either dimension; the planar step (`solver2d`) is those
+rows alone, and the spatial step adds spin and twist to them.
 """
 
 from dataclasses import dataclass, field
@@ -49,20 +53,20 @@ class _Triplets:
     """Values of one step matrix, put in blocks of `dim` slots.
 
     Shared by the spatial and the planar assembler.  The matrix's sparsity
-    pattern depends only on the unknown layout, so it is recorded once per
-    run, on the per-run `owner` (a StepContext3D or a DofLayout2D): while
-    owner.pattern is None the put helpers also collect each entry's row and
-    column, and `banded` stores their BandPattern there.  Every later
-    assembly through the same owner puts values only, in the same order.
-    Entries at the same position are summed in the order they were put.
+    pattern depends only on the unknown layout, so the layout owns it and
+    records it once per run: while layout.pattern is None the put helpers
+    also collect each entry's row and column, and `banded` stores their
+    BandPattern there.  Every later assembly through the same layout puts
+    values only, in the same order.  Entries at the same position are
+    summed in the order they were put.
     """
 
-    def __init__(self, dim, owner):
+    def __init__(self, dim, layout):
         self.d = np.arange(dim)
-        self.owner = owner
+        self.layout = layout
         self.vals = []
         self.rows = self.cols = None
-        if owner.pattern is None:
+        if layout.pattern is None:
             self.rows, self.cols = [], []
 
     def _index(self, r, c, shape):
@@ -102,15 +106,16 @@ class _Triplets:
             self._index(r0[:, None], c0[:, None] + self.d, vecs.shape)
         self.vals.append(vecs.ravel())
 
-    def banded(self, ndof, b, what) -> BandedMatrix:
+    def banded(self, b, what) -> BandedMatrix:
         """The band matrix holding every entry; rejects non-finite input."""
         v = np.concatenate(self.vals)
         if not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
             raise AssemblyError(f"non-finite entries in the {what} system")
         if self.rows is not None:
-            self.owner.pattern = _band_pattern(ndof, self.rows, self.cols)
+            self.layout.pattern = _band_pattern(self.layout.ndof, self.rows,
+                                                self.cols)
             self.rows = self.cols = None
-        pat = self.owner.pattern
+        pat = self.layout.pattern
         if v.size != pat.inverse.size:
             raise AssemblyError(
                 f"{what} system put {v.size} entries, its band pattern "
@@ -146,6 +151,13 @@ def _solve_increment(matrix, b, c, x_slots, x, what, t_new, residual_tol):
     return sol, res
 
 
+def _moments(layout, sol):
+    """Bending moment and curvature (n, dim) of a solution, zero at the ends."""
+    out = np.zeros((2,) + layout.x_slots.shape)
+    out[:, 1:-1] = sol[layout.y_slots], sol[layout.k_slots]
+    return out
+
+
 @dataclass
 class DofLayout3D:
     """Interleaved unknown numbering for the spatial step.
@@ -158,6 +170,8 @@ class DofLayout3D:
     same slots as the unknown they balance, which keeps the band tight.
     x_slots, y_slots and k_slots list the three slots of each vertex's
     position and of each interior vertex's bending moment and curvature.
+    A layout is made once per run and also holds the step matrix's band
+    pattern, recorded by the first assembly.
     """
 
     n_vertices: int
@@ -172,6 +186,7 @@ class DofLayout3D:
     y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 3)
     k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 3)
     ndof: int = field(init=False)
+    pattern: BandPattern = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         n = self.n_vertices
@@ -205,8 +220,7 @@ class DofLayout3D:
 
 @dataclass
 class StepContext3D:
-    """Per-run constants: mesh, layout, sampled material fields, and the
-    step matrix's band pattern (recorded by the first assembly)."""
+    """Per-run constants: mesh, layout and sampled material fields."""
 
     mesh: Mesh
     scenario: Scenario
@@ -215,7 +229,6 @@ class StepContext3D:
     bend_viscosity: np.ndarray = field(init=False, repr=False)    # vertices
     twist_stiffness: np.ndarray = field(init=False, repr=False)   # midpoints
     twist_viscosity: np.ndarray = field(init=False, repr=False)   # midpoints
-    pattern: BandPattern = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mat = self.scenario.material
@@ -251,47 +264,40 @@ def _cross_matrices(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
-                  bend_moment, spin, rest_density):
-    """Step matrix A, right-hand side b, and c = b - A·base for one step.
+def _rod_rows(m, b, layout, mesh, drag, geom, dt, x, kappa, rest_density,
+              A_i, B_i, A_pref, gyro):
+    """Put the rows both models share; fills b and returns c = b - A·base.
 
-    All state arguments are the previous step's fields; rest_density is the
-    per-element length density the constraint rows pin the new positions to.
-    base holds x in the position slots and zero elsewhere.
+    These are the momentum balance with the tension and the bending force,
+    the bending law, the curvature identity and inextensibility, in the
+    dim = 2 or 3 components of x.  A_i and B_i are the bending stiffness and
+    viscosity at the interior vertices, A_pref is A_i times the preferred
+    curvature there, and gyro the spin term of the bending law's curvature
+    block (0.0 without spin).  Rows put by the caller keep b in c.
     """
-    mesh = ctx.mesh
-    lay = ctx.layout
-    n, ne = mesh.n_vertices, mesh.n_elements
-    h, u = mesh.h, mesh.u
-    tau, s, ttau, w = geom.tau, geom.s, geom.ttau, geom.w
-    hs = h * s
-    eye3 = np.eye(3)
+    n = mesh.n_vertices
+    h = mesh.h
+    tau, ttau, w = geom.tau, geom.ttau, geom.w
+    hs = h * geom.s
+    eye = np.eye(x.shape[1])
 
-    K = ctx.scenario.drag.element_matrices(tau)                 # (ne,3,3)
-    P = eye3[None] - tau[:, :, None] * tau[:, None, :]          # (ne,3,3)
-    kbar = 0.5 * (kappa[:-1] + kappa[1:])
-    tk = np.cross(tau, kbar)                                    # (ne,3)
+    K = drag.element_matrices(tau)                              # (ne,d,d)
+    P = eye[None] - tau[:, :, None] * tau[:, None, :]           # (ne,d,d)
 
-    xo, yo, ko, mo = lay.x_off, lay.y_off, lay.k_off, lay.m_off
-    zo, go, po = lay.z_off, lay.g_off, lay.p_off
+    xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
     ii = slice(1, n - 1)        # interior vertices
     dx = x[1:] - x[:-1]
-    b = np.zeros(lay.ndof)
-
-    m = _Triplets(3, ctx)
 
     # -- momentum balance at every vertex (rows at the position slots)
-    drag_lumped = np.zeros((n, 3, 3))
+    drag_lumped = np.zeros((n,) + K.shape[1:])
     drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
     drag_lumped[1:] += 0.5 * hs[:, None, None] * K
     m.put_blocks(xo, xo, drag_lumped / dt)
-    b[lay.x_slots] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
+    b[layout.x_slots] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
 
-    # tension and twist-moment forces of element e on its two end vertices
+    # tension forces of element e on its two end vertices
     m.put_vec_rows(xo[:-1], po, tau)
     m.put_vec_rows(xo[1:], po, -tau)
-    m.put_vec_rows(xo[:-1], zo, tk)
-    m.put_vec_rows(xo[1:], zo, -tk)
 
     # transverse bending force, projected difference of the bending moment
     coefP = P / hs[:, None, None]
@@ -304,22 +310,16 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 
     # -- bending constitutive law at interior vertices (bending-moment rows)
     ti = ttau[ii]
-    Pt = eye3[None] - ti[:, :, None] * ti[:, None, :]
-    Xt = _cross_matrices(ti)
-    A_i = ctx.bend_stiffness[ii]
-    B_i = ctx.bend_viscosity[ii]
+    Pt = eye[None] - ti[:, :, None] * ti[:, None, :]
     kmat = (
-        -A_i[:, None, None] * eye3[None]
+        -A_i[:, None, None] * eye[None]
         - (B_i / dt)[:, None, None] * Pt
-        + (B_i * spin[ii])[:, None, None] * Xt
+        + gyro
     )
     m.put_diag(yo[ii], yo[ii], w[ii])
     m.put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
-    alpha = evaluate_field(ctx.scenario.kappa1_pref, u, t_new)
-    beta = evaluate_field(ctx.scenario.kappa2_pref, u, t_new)
-    pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
-    b[lay.y_slots] = w[ii][:, None] * (
-        -A_i[:, None] * pref
+    b[layout.y_slots] = w[ii][:, None] * (
+        -A_pref
         - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
     )
 
@@ -330,6 +330,47 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     m.put_diag(ko[ii], xo[ii], a_l + a_r)
     m.put_diag(ko[ii], xo[:-2], -a_l)
     m.put_diag(ko[ii], xo[2:], -a_r)
+
+    # -- inextensibility per element (tension rows)
+    m.put_vec_cols(po, xo[1:], tau)
+    m.put_vec_cols(po, xo[:-1], -tau)
+    b[po] = h * rest_density
+
+    # -- c row by row: rows without a position column keep b
+    c = b.copy()
+    c[layout.x_slots] = 0.0
+    c[layout.k_slots] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
+    return c
+
+
+def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
+                  bend_moment, spin, rest_density):
+    """Step matrix A, right-hand side b, and c = b - A·base for one step.
+
+    All state arguments are the previous step's fields; rest_density is the
+    per-element length density the constraint rows pin the new positions to.
+    base holds x in the position slots and zero elsewhere.
+    """
+    mesh = ctx.mesh
+    lay = ctx.layout
+    n, ne = mesh.n_vertices, mesh.n_elements
+    tau, ttau, w = geom.tau, geom.ttau, geom.w
+    hs = mesh.h * geom.s
+
+    kbar = 0.5 * (kappa[:-1] + kappa[1:])
+    tk = np.cross(tau, kbar)                                    # (ne,3)
+
+    xo, mo = lay.x_off, lay.m_off
+    zo, go = lay.z_off, lay.g_off
+    ii = slice(1, n - 1)        # interior vertices
+    b = np.zeros(lay.ndof)
+
+    m = _Triplets(3, lay)
+
+    # -- twist-moment forces of element e on its two end vertices
+    m.put_vec_rows(xo[:-1], zo, tk)
+    m.put_vec_rows(xo[1:], zo, -tk)
 
     # -- tangential angular momentum at every vertex (spin rows)
     m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
@@ -352,21 +393,19 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     m.put_vec_cols(go, xo[1:], tk / dt)
     m.put_vec_cols(go, xo[:-1], -tk / dt)
     twist_rate = hs * twist / dt
-    b[go] = twist_rate + np.einsum("ed,ed->e", tk, dx) / dt
+    b[go] = twist_rate + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
 
-    # -- inextensibility per element (tension rows)
-    m.put_vec_cols(po, xo[1:], tau)
-    m.put_vec_cols(po, xo[:-1], -tau)
-    b[po] = h * rest_density
-
-    # -- c row by row: rows without a position column keep b
-    c = b.copy()
-    c[lay.x_slots] = 0.0
-    c[lay.k_slots] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    # -- the rows the planar model shares, bent toward alpha e1 + beta e2
+    A_i = ctx.bend_stiffness[ii]
+    B_i = ctx.bend_viscosity[ii]
+    alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, t_new)
+    beta = evaluate_field(ctx.scenario.kappa2_pref, mesh.u, t_new)
+    pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
+    c = _rod_rows(m, b, lay, mesh, ctx.scenario.drag, geom, dt, x, kappa,
+                  rest_density, A_i, B_i, A_i[:, None] * pref,
+                  (B_i * spin[ii])[:, None, None] * _cross_matrices(ttau[ii]))
     c[go] = twist_rate
-    c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
-
-    return m.banded(lay.ndof, b, "step"), b, c
+    return m.banded(b, "step"), b, c
 
 
 def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
@@ -380,12 +419,8 @@ def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
     sol, res = _solve_increment(matrix, b, c, lay.x_slots, x, "step", t_new,
                                 residual_tol)
 
-    n = ctx.mesh.n_vertices
     x_new = sol[lay.x_slots]
-    y_new = np.zeros((n, 3))
-    k_new = np.zeros((n, 3))
-    y_new[1:-1] = sol[lay.y_slots]
-    k_new[1:-1] = sol[lay.k_slots]
+    y_new, k_new = _moments(lay, sol)
     # prescribed end curvature, in the directors the step was built with
     ub = ctx.mesh.u[[0, -1]]
     ab = evaluate_field(ctx.scenario.kappa1_pref, ub, t_new)

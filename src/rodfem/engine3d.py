@@ -21,7 +21,7 @@ from .assembly3d import StepContext3D, solve_step
 from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
                           length_error)
 from .errors import InvalidParameterError
-from .frame import frame_error, orthonormality_defects, renormalize, transport_frame
+from .frame import frame_error, transport_frame
 from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
                        uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
@@ -60,8 +60,6 @@ class SimConfig:
     dt: float = 1.0
     t_final: float = None          # defaults to the scenario's horizon
     dimension: int = 3
-    renormalize_every: int = 0     # 0 = never
-    renormalize_threshold: float = 0.0
     snapshot_stride: int = 0       # 0 = first and last step only
     residual_tol: float = 1e-10
 
@@ -76,8 +74,17 @@ class SimConfig:
             raise InvalidParameterError(
                 f"dimension must be 2 or 3, got {self.dimension}"
             )
-        if self.renormalize_every < 0 or self.snapshot_stride < 0:
-            raise InvalidParameterError("strides must be nonnegative")
+        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
+            raise InvalidParameterError(
+                f"t_final must be finite and positive, got {self.horizon}"
+            )
+        spin_up = self.scenario.spin_up
+        if not (np.isfinite(spin_up) and spin_up >= 0.0):
+            raise InvalidParameterError(
+                f"scenario.spin_up must be finite and >= 0, got {spin_up}"
+            )
+        if self.snapshot_stride < 0:
+            raise InvalidParameterError("snapshot_stride must be nonnegative")
         if not self.residual_tol > 0.0:
             raise InvalidParameterError(
                 f"residual_tol must be positive, got {self.residual_tol}"
@@ -103,7 +110,6 @@ class RunStats:
     max_abs_x3: float = 0.0
     max_abs_beta: float = 0.0
     max_abs_twist: float = 0.0
-    renormalized_steps: int = 0
 
 
 @dataclass
@@ -160,9 +166,9 @@ def _check_model(config, dimension, mesh, state):
         )
 
 
-def _advance(mesh, state, geom, t, step_index, step, stats):
+def _advance(mesh, state, geom, t, step, stats):
     """Take one step, then probe the invariants of the step just taken."""
-    new, gnew, residual = step(state, geom, t, step_index, stats)
+    new, gnew, residual = step(state, geom, t, stats)
     rest = state.rest_density
     dx = new.x[1:] - new.x[:-1]
     cres = np.einsum("ed,ed->e", geom.tau, dx) - mesh.h * rest
@@ -193,16 +199,15 @@ def _spin_up(config, mesh, state, step, stats):
     Returns the developed state and its geometry.
     """
     geom = frozen_geometry(mesh, state.x)
-    if config.scenario.spin_up > 0.0:
-        for k in range(step_count(config.scenario.spin_up, config.dt)):
-            state, geom = _advance(mesh, state, geom, 0.0, k + 1, step, stats)
+    for _ in range(step_count(config.scenario.spin_up, config.dt)):
+        state, geom = _advance(mesh, state, geom, 0.0, step, stats)
     return state, geom
 
 
 def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
     """Advance one rod model to the horizon; the loop of `run` and `run2d`.
 
-    step(state, geom, t, step_index, stats) advances `state`, whose geometry
+    step(state, geom, t, stats) advances `state`, whose geometry
     `geom` it freezes, to the time t, and returns the new state, the new
     geometry and the solver's relative residual.  measure(state, geom)
     returns the elastic energy and the frame error of a state.  A fresh run
@@ -248,7 +253,7 @@ def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
     for k in range(n_steps):
         t_new = t0 + (k + 1) * config.dt
         idx = step0 + k + 1
-        state, geom = _advance(mesh, state, geom, t_new, idx, step, stats)
+        state, geom = _advance(mesh, state, geom, t_new, step, stats)
         record(state, geom, idx)
         if config.snapshot_stride > 0 and idx % config.snapshot_stride == 0:
             snapshots[idx] = state.copy()
@@ -274,7 +279,7 @@ def run(config: SimConfig, state: RodState3D = None,
     mesh = uniform_mesh(config.n_vertices)
     ctx = StepContext3D(mesh, scn)
 
-    def step(st, gm, t, step_index, stats):
+    def step(st, gm, t, stats):
         res = solve_step(
             ctx, gm, config.dt, t, st.x, st.e1, st.e2, st.kappa,
             st.twist, st.bend_moment, st.spin, st.rest_density,
@@ -284,16 +289,6 @@ def run(config: SimConfig, state: RodState3D = None,
         e1n, e2n = transport_frame(
             st.e1, st.e2, gm.ttau, gnew.ttau, config.dt * res.spin
         )
-        renorm = (
-            config.renormalize_every > 0
-            and step_index % config.renormalize_every == 0
-        )
-        if not renorm and config.renormalize_threshold > 0.0:
-            if orthonormality_defects(gnew.ttau, e1n, e2n).max() > config.renormalize_threshold:
-                renorm = True
-        if renorm:
-            e1n, e2n = renormalize(gnew.ttau, e1n, e2n)
-            stats.renormalized_steps += 1
         new = RodState3D(
             t=t, x=res.x, e1=e1n, e2=e2n, kappa=res.kappa,
             twist=res.twist, bend_moment=res.bend_moment, spin=res.spin,

@@ -83,17 +83,3 @@ def frame_error(geom: FrozenGeometry, e1, e2) -> float:
     defects = orthonormality_defects(geom.ttau, e1, e2)
     return float(np.sqrt(np.sum(geom.w * np.sum(defects**2, axis=0))))
 
-
-def renormalize(ttau, e1, e2):
-    """Re-orthonormalize the director pair against the vertex tangent.
-
-    Gram-Schmidt in the order (tangent, e1, e2); only useful when a caller
-    deliberately trades the scheme's native drift (rounding level) for exact
-    orthogonality, e.g. after thousands of steps of an extreme run.
-    """
-    dot = lambda a, b: np.einsum("id,id->i", a, b)[:, None]  # noqa: E731
-    f1 = e1 - dot(e1, ttau) * ttau
-    f1 = f1 / np.linalg.norm(f1, axis=1)[:, None]
-    f2 = e2 - dot(e2, ttau) * ttau - dot(e2, f1) * f1
-    f2 = f2 / np.linalg.norm(f2, axis=1)[:, None]
-    return f1, f2

@@ -115,13 +115,12 @@ class BandedLU:
         return x[:, 0]
 
 
-def factorize(a) -> BandedLU:
-    """LU-factorize a banded (or convertible dense) square matrix.
+def factorize(m: BandedMatrix) -> BandedLU:
+    """LU-factorize a banded square matrix.
 
     Partial pivoting is always on; an exact zero pivot surviving the pivot
     search means the matrix is singular.
     """
-    m = a if isinstance(a, BandedMatrix) else BandedMatrix.from_dense(a)
     if not np.all(np.isfinite(m.data)):
         raise AssemblyError("matrix contains non-finite entries")
     lu, ipiv, info = lapack.dgbtrf(m.data, m.kl, m.ku)

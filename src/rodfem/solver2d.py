@@ -5,15 +5,19 @@ averaged tangent, recomputed from geometry each step, so frame bookkeeping
 (and its error) vanishes identically.  Unknowns per step are position,
 bending moment, curvature, and tension; twist and spin do not exist.
 
-This module holds the planar step and measure only; the step loop that
-`run2d` and `spun_up_state_2d` go through is owned by `engine3d`.
+This module holds the planar unknown layout, the preferred curvature the
+planar step bends toward, and the decode of its solution.  The rows of the
+step system are the ones `assembly3d._rod_rows` puts for both models, and
+the step loop that `run2d` and `spun_up_state_2d` go through is owned by
+`engine3d`.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly3d import BandPattern, _solve_increment, _Triplets
+from .assembly3d import (BandPattern, _moments, _rod_rows, _solve_increment,
+                         _Triplets)
 from .diagnostics import elastic_energy
 from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
                        _spin_up)
@@ -96,70 +100,17 @@ def initial_state_2d(mesh: Mesh, scenario) -> RodState2D:
 def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
                      geom, dt, t_new, x, kappa, rest_density):
     """Step matrix A, right-hand side b, and c = b - A·base for one planar
-    step; see `assembly3d.assemble_step`."""
-    n = mesh.n_vertices
-    h, u = mesh.h, mesh.u
-    tau, s, ttau, w = geom.tau, geom.s, geom.ttau, geom.w
-    hs = h * s
-    eye2 = np.eye(2)
-
-    K = scenario.drag.element_matrices(tau)
-    P = eye2[None] - tau[:, :, None] * tau[:, None, :]
-    nu = perp(ttau)
-
-    xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
-    ii = slice(1, n - 1)        # interior vertices
-    dx = x[1:] - x[:-1]
+    step: the rows the spatial model shares, without spin and twist, bent
+    toward alpha times the planar normal; see `assembly3d.assemble_step`."""
+    ii = slice(1, mesh.n_vertices - 1)      # interior vertices
+    A_i = bend_stiffness[ii]
+    alpha = evaluate_field(scenario.kappa1_pref, mesh.u, t_new)
     b = np.zeros(layout.ndof)
     m = _Triplets(2, layout)
-
-    # momentum balance
-    drag_lumped = np.zeros((n, 2, 2))
-    drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
-    drag_lumped[1:] += 0.5 * hs[:, None, None] * K
-    m.put_blocks(xo, xo, drag_lumped / dt)
-    b[layout.x_slots] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
-    m.put_vec_rows(xo[:-1], po, tau)
-    m.put_vec_rows(xo[1:], po, -tau)
-    coefP = P / hs[:, None, None]
-    m.put_blocks(xo[:-2], yo[ii], coefP[:-1])
-    m.put_blocks(xo[ii], yo[ii], -coefP[:-1])
-    m.put_blocks(xo[ii], yo[ii], -coefP[1:])
-    m.put_blocks(xo[2:], yo[ii], coefP[1:])
-
-    # bending constitutive law
-    ti = ttau[ii]
-    Pt = eye2[None] - ti[:, :, None] * ti[:, None, :]
-    A_i = bend_stiffness[ii]
-    B_i = bend_viscosity[ii]
-    kmat = -A_i[:, None, None] * eye2[None] - (B_i / dt)[:, None, None] * Pt
-    m.put_diag(yo[ii], yo[ii], w[ii])
-    m.put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
-    alpha = evaluate_field(scenario.kappa1_pref, u, t_new)
-    b[layout.y_slots] = w[ii][:, None] * (
-        -A_i[:, None] * alpha[ii, None] * nu[ii]
-        - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
-    )
-
-    # curvature identity
-    a_l = 1.0 / hs[:-1]
-    a_r = 1.0 / hs[1:]
-    m.put_diag(ko[ii], ko[ii], w[ii])
-    m.put_diag(ko[ii], xo[ii], a_l + a_r)
-    m.put_diag(ko[ii], xo[:-2], -a_l)
-    m.put_diag(ko[ii], xo[2:], -a_r)
-
-    # inextensibility
-    m.put_vec_cols(po, xo[1:], tau)
-    m.put_vec_cols(po, xo[:-1], -tau)
-    b[po] = h * rest_density
-
-    # c row by row: rows without a position column keep b
-    c = b.copy()
-    c[layout.x_slots] = 0.0
-    c[layout.k_slots] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
-    c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
-    return m.banded(layout.ndof, b, "planar step"), b, c
+    c = _rod_rows(m, b, layout, mesh, scenario.drag, geom, dt, x, kappa,
+                  rest_density, A_i, bend_viscosity[ii],
+                  A_i[:, None] * alpha[ii, None] * perp(geom.ttau[ii]), 0.0)
+    return m.banded(b, "planar step"), b, c
 
 
 def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
@@ -170,13 +121,9 @@ def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
         mesh, scenario, bend_stiffness, bend_viscosity, layout, geom, dt,
         t_new, x, kappa, rest_density,
     )
-    n = mesh.n_vertices
     sol, res = _solve_increment(matrix, b, c, layout.x_slots, x, "planar step",
                                 t_new, residual_tol)
-    y_new = np.zeros((n, 2))
-    k_new = np.zeros((n, 2))
-    y_new[1:-1] = sol[layout.y_slots]
-    k_new[1:-1] = sol[layout.k_slots]
+    y_new, k_new = _moments(layout, sol)
     ab = evaluate_field(scenario.kappa1_pref, mesh.u[[0, -1]], t_new)
     k_new[[0, -1]] = ab[:, None] * perp(geom.ttau[[0, -1]])
     return sol[layout.x_slots], y_new, k_new, sol[layout.p_off], res
@@ -189,7 +136,7 @@ def _planar_model(config, mesh):
     A_v = scn.material.bend_stiffness_at(mesh.u)
     B_v = scn.material.bend_viscosity_at(mesh.u)
 
-    def step(st, gm, t, step_index, stats):
+    def step(st, gm, t, stats):
         x, y, k, p, res = solve_step_2d(
             mesh, scn, A_v, B_v, layout, gm, config.dt, t, st.x,
             st.kappa, st.bend_moment, st.rest_density, config.residual_tol,

@@ -175,8 +175,8 @@ def test_step_is_translation_equivariant():
 
 def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     """(matrix, b, c, position slots, previous positions, owner) of one bent
-    step.  owner is the per-run object that holds the band pattern: a
-    StepContext3D (spatial) or a DofLayout2D (planar), fresh when None."""
+    step.  owner is the per-run object the assembler takes: a StepContext3D
+    (spatial) or a DofLayout2D (planar), fresh when None."""
     dt, t_new = 1.0 / 16.0, 0.25
     if model == "spatial":
         mesh, st = bent_test_state(n, seed=seed, scale=scale)
@@ -221,10 +221,11 @@ def test_assembled_increment_rhs_is_b_minus_a_base(model):
 def test_band_pattern_is_recorded_once_and_reused(model, n):
     # n = 3, 4 have fewer unknowns than the band has rows
     first, *_, owner = assembled_step(model, n=n, seed=5, scale=0.15)
-    pattern = owner.pattern
+    layout = owner.layout if model == "spatial" else owner
+    pattern = layout.pattern
     assert pattern is not None
     second, *_ = assembled_step(model, n=n, seed=6, scale=0.25, owner=owner)
-    assert owner.pattern is pattern
+    assert layout.pattern is pattern
     fresh, *_ = assembled_step(model, n=n, seed=6, scale=0.25)
     assert not np.array_equal(second.data, first.data)
     assert np.array_equal(second.data, fresh.data)
@@ -236,7 +237,7 @@ def test_assembly_with_another_runs_pattern_is_rejected():
     _, *_, small = assembled_step("spatial", n=4)
     mesh, st = bent_test_state(5)
     ctx = StepContext3D(mesh, builtin_scenario("worm3d"))
-    ctx.pattern = small.pattern
+    ctx.layout.pattern = small.layout.pattern
     with pytest.raises(AssemblyError, match="band pattern"):
         assemble_step(
             ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, st["x"], st["e1"],

@@ -36,6 +36,7 @@ def test_parse_config_comments_and_whitespace(tmp_path):
     ("scenario.name = relaxation\nscenario.name = worm2d", "duplicate"),
     ("scenario.name relaxation", "key = value"),
     ("scenario.name =", "empty value"),
+    ("frame.renormalize_every = 1", "unknown config key"),
 ])
 def test_parse_config_rejections_name_the_problem(tmp_path, body, needle):
     path = write_cfg(tmp_path, body)
@@ -218,8 +219,15 @@ def test_compare_table_columns_and_agreement(tmp_path):
     assert float(rows[1][6]) > 0.0
 
 
-def test_renormalize_flag_is_accepted(tmp_path):
-    cfg = write_cfg(tmp_path, "scenario.name = relaxation\nrun.t_final = 3")
-    out = tmp_path / "rn"
-    assert main(["run", "--config", cfg, "--out", str(out),
-                 "--renormalize-frame"]) == 0
+@pytest.mark.parametrize("line,key", [
+    ("run.t_final = nan", "t_final"),
+    ("run.t_final = inf", "t_final"),
+    ("scenario.spin_up = nan", "spin_up"),
+])
+def test_non_finite_horizon_or_spin_up_is_a_config_error(tmp_path, line, key,
+                                                         capsys):
+    cfg = write_cfg(tmp_path, f"scenario.name = worm2d\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # rejected before any step or output

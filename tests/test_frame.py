@@ -10,7 +10,6 @@ from rodfem.errors import FrameTransportError
 from rodfem.frame import (
     frame_error,
     orthonormality_defects,
-    renormalize,
     transport_frame,
 )
 from rodfem.geometry import frozen_geometry, uniform_mesh
@@ -93,17 +92,6 @@ def test_antipodal_tangent_flip_fails_loudly():
     e2 = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(FrameTransportError):
         transport_frame(e1, e2, t, -t, np.zeros(1))
-
-
-def test_renormalize_restores_exact_orthonormality():
-    t, e1, e2 = random_unit_frames(8, seed=3)
-    e1 = e1 + 1e-4 * t  # contaminate
-    e2 = e2 * (1.0 + 1e-4)
-    f1, f2 = renormalize(t, e1, e2)
-    assert orthonormality_defects(t, f1, f2).max() < 1e-14
-    # perturbation was small, the repair is too
-    assert np.abs(f1 - e1).max() < 1e-3
-    assert np.abs(f2 - e2).max() < 1e-3
 
 
 def test_frame_error_is_a_weighted_aggregate():
