@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Fingerprint a fixed set of trajectories, one SHA-256 per case.
 
-Each case is a short run of the library.  Its digest covers the dtype, shape
-and bytes of every `final_state` array, every `DiagnosticsRecord` field and
-every `RunStats` field, so two source trees that print the same lines
-produced bit-identical trajectories.  Run it on both trees of a change that
-must not move any number and compare the output:
+Each library case is a short run of the library.  Its digest covers the
+dtype, shape and bytes of every `final_state` array, every
+`DiagnosticsRecord` field and every `RunStats` field.  Each CLI case is one
+`rodfem run` into a temporary directory; its digest covers the name and
+bytes of every output file except `manifest.json`, whose timings vary.  Two
+source trees that print the same lines produced bit-identical trajectories
+and output files.  Run it on both trees of a change that must not move any
+number and compare the output:
 
     PYTHONPATH=src python3 scripts/trajectory_digest.py > after.txt
 
@@ -18,13 +21,18 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from rodfem import (SimConfig, builtin_scenario, embed_in_space, run,  # noqa: E402
                     run2d, spun_up_state_2d, uniform_mesh)
+from rodfem.cli import main as rodfem_main  # noqa: E402
 
 DT = 1.0 / 16.0
 T_FINAL = 1.0
@@ -44,6 +52,13 @@ CASES = (
     ("worm3d-n32-resumed", "worm3d", 32, 3, "resumed"),
     ("worm2d-n64-resumed", "worm2d", 64, 2, "resumed"),
     ("worm2d-n32-embedded", "worm2d", 32, 3, "embedded"),
+)
+
+#: (case name, scenario, dimension) of the `rodfem run` cases: n = 32 with
+#: snapshots every 4 steps and the kymograph tables.
+CLI_CASES = (
+    ("cli-worm2d-n32", "worm2d", 2),
+    ("cli-worm3d-n32", "worm3d", 3),
 )
 
 
@@ -82,9 +97,39 @@ def run_case(scenario, n_vertices, dimension, start):
     return driver(config(T_FINAL), state=half.final_state)
 
 
+def cli_digest(scenario, dimension) -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "run.cfg"
+        config.write_text(
+            f"scenario.name = {scenario}\n"
+            f"run.dimension = {dimension}\n"
+            "run.n_vertices = 32\n"
+            f"run.dt = {DT!r}\n"
+            f"run.t_final = {T_FINAL!r}\n"
+            "output.snapshot_stride = 4\n"
+            "output.kymograph = true\n",
+            encoding="utf-8",
+        )
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = rodfem_main(["run", "--config", str(config),
+                                "--out", str(out)])
+        if code != 0:
+            raise SystemExit(f"rodfem run on {scenario} exited {code}")
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                h.update(f"{path.name}|".encode())
+                h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def main():
     for name, scenario, n_vertices, dimension, start in CASES:
         print(f"{name:<20} {digest(run_case(scenario, n_vertices, dimension, start))}")
+    for name, scenario, dimension in CLI_CASES:
+        print(f"{name:<20} {cli_digest(scenario, dimension)}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ system linear.  Unknowns are interleaved along the rod so the matrix is
 banded with a resolution-independent bandwidth.  The momentum balance, the
 bending law, the curvature identity and inextensibility are put once, by
 `_rod_rows`, for either dimension; the planar step (`solver2d`) is those
-rows alone, and the spatial step adds spin and twist to them.
+rows alone, and the spatial step adds spin and twist to them.  Both models
+number their unknowns with one `DofLayout` and hold their per-run constants
+in one `StepContext`, each parameterised by the dimension.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +52,7 @@ def _band_pattern(n, rows, cols) -> BandPattern:
 
 
 class _Triplets:
-    """Values of one step matrix, put in blocks of `dim` slots.
+    """Values of one step matrix, put in blocks of the layout's dim slots.
 
     Shared by the spatial and the planar assembler.  The matrix's sparsity
     pattern depends only on the unknown layout, so the layout owns it and
@@ -61,8 +63,8 @@ class _Triplets:
     summed in the order they were put.
     """
 
-    def __init__(self, dim, layout):
-        self.d = np.arange(dim)
+    def __init__(self, layout):
+        self.d = np.arange(layout.dim)
         self.layout = layout
         self.vals = []
         self.rows = self.cols = None
@@ -159,84 +161,95 @@ def _moments(layout, sol):
 
 
 @dataclass
-class DofLayout3D:
-    """Interleaved unknown numbering for the spatial step.
+class DofLayout:
+    """Interleaved unknown numbering of one step, for dim = 2 or 3.
 
-    Each vertex block holds position (3 slots), then — at interior vertices
-    only — bending moment (3) and curvature (3), then the spin rate (1).
-    Boundary bending moments vanish and boundary curvatures are prescribed,
-    so neither enters the system there.  Element blocks (twist moment, twist,
-    tension) sit between consecutive vertex blocks.  Rows are assigned to the
-    same slots as the unknown they balance, which keeps the band tight.
-    x_slots, y_slots and k_slots list the three slots of each vertex's
-    position and of each interior vertex's bending moment and curvature.
+    Each vertex block holds position (dim slots), then — at interior
+    vertices only — bending moment (dim) and curvature (dim), then, in space
+    only, the spin rate (1).  Boundary bending moments vanish and boundary
+    curvatures are prescribed, so neither enters the system there.  Element
+    blocks sit between consecutive vertex blocks: twist moment, twist and
+    tension in space, the tension alone in the plane.  Rows are assigned to
+    the same slots as the unknown they balance, which keeps the band tight.
+    x_slots, y_slots and k_slots list the dim slots of each vertex's
+    position and of each interior vertex's bending moment and curvature;
+    m_off, z_off and g_off (spin, twist moment, twist) exist in space only.
     A layout is made once per run and also holds the step matrix's band
     pattern, recorded by the first assembly.
     """
 
     n_vertices: int
+    dim: int
     x_off: np.ndarray = field(init=False, repr=False)
     y_off: np.ndarray = field(init=False, repr=False)
     k_off: np.ndarray = field(init=False, repr=False)
-    m_off: np.ndarray = field(init=False, repr=False)
-    z_off: np.ndarray = field(init=False, repr=False)
-    g_off: np.ndarray = field(init=False, repr=False)
     p_off: np.ndarray = field(init=False, repr=False)
-    x_slots: np.ndarray = field(init=False, repr=False)   # (n, 3)
-    y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 3)
-    k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 3)
+    m_off: np.ndarray = field(init=False, default=None, repr=False)
+    z_off: np.ndarray = field(init=False, default=None, repr=False)
+    g_off: np.ndarray = field(init=False, default=None, repr=False)
+    x_slots: np.ndarray = field(init=False, repr=False)   # (n, dim)
+    y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
+    k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
     ndof: int = field(init=False)
     pattern: BandPattern = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        n = self.n_vertices
+        n, dim = self.n_vertices, self.dim
         if n < 3:
             raise AssemblyError(f"need at least 3 vertices, got {n}")
-        ne = n - 1
-        x_off = np.empty(n, dtype=np.int64)
+        spin = 1 if dim == 3 else 0             # spin slots per vertex
+        per_element = 3 if dim == 3 else 1
+        stride = 3 * dim + spin + per_element
+        # the boundary vertex 0 has no bending-moment or curvature slots
+        x_off = stride * np.arange(n, dtype=np.int64) - 2 * dim
         x_off[0] = 0
-        x_off[1:] = 13 * np.arange(1, n, dtype=np.int64) - 6
-        m_off = x_off + 9
-        m_off[0] = x_off[0] + 3
-        m_off[-1] = x_off[-1] + 3
         y_off = np.full(n, -1, dtype=np.int64)
         k_off = np.full(n, -1, dtype=np.int64)
-        y_off[1:-1] = x_off[1:-1] + 3
-        k_off[1:-1] = x_off[1:-1] + 6
-        el = np.arange(ne, dtype=np.int64)
+        y_off[1:-1] = x_off[1:-1] + dim
+        k_off[1:-1] = x_off[1:-1] + 2 * dim
+        element = stride * np.arange(n - 1, dtype=np.int64) + dim + spin
+        if spin:
+            self.m_off = x_off + 3 * dim
+            self.m_off[[0, -1]] = x_off[[0, -1]] + dim
+            self.z_off = element
+            self.g_off = element + 1
         self.x_off = x_off
         self.y_off = y_off
         self.k_off = k_off
-        self.m_off = m_off
-        self.z_off = 13 * el + 4
-        self.g_off = self.z_off + 1
-        self.p_off = self.z_off + 2
-        d3 = np.arange(3)
-        self.x_slots = x_off[:, None] + d3
-        self.y_slots = y_off[1:-1, None] + d3
-        self.k_slots = k_off[1:-1, None] + d3
-        self.ndof = 13 * n - 15
+        self.p_off = element + per_element - 1  # last slot: tension
+        d = np.arange(dim)
+        self.x_slots = x_off[:, None] + d
+        self.y_slots = y_off[1:-1, None] + d
+        self.k_slots = k_off[1:-1, None] + d
+        self.ndof = stride * (n - 1) - dim + spin
 
 
 @dataclass
-class StepContext3D:
-    """Per-run constants: mesh, layout and sampled material fields."""
+class StepContext:
+    """Per-run constants of one rod model: mesh, layout and sampled
+    material fields.  Only a spatial (dim = 3) context samples the twist
+    fields; the planar model has no twist, so it accepts any twist profile.
+    """
 
     mesh: Mesh
     scenario: Scenario
-    layout: DofLayout3D = field(init=False, repr=False)
+    dim: int
+    layout: DofLayout = field(init=False, repr=False)
     bend_stiffness: np.ndarray = field(init=False, repr=False)    # vertices
     bend_viscosity: np.ndarray = field(init=False, repr=False)    # vertices
-    twist_stiffness: np.ndarray = field(init=False, repr=False)   # midpoints
-    twist_viscosity: np.ndarray = field(init=False, repr=False)   # midpoints
+    twist_stiffness: np.ndarray = field(init=False, default=None,
+                                        repr=False)               # midpoints
+    twist_viscosity: np.ndarray = field(init=False, default=None,
+                                        repr=False)               # midpoints
 
     def __post_init__(self):
         mat = self.scenario.material
-        self.layout = DofLayout3D(self.mesh.n_vertices)
+        self.layout = DofLayout(self.mesh.n_vertices, self.dim)
         self.bend_stiffness = mat.bend_stiffness_at(self.mesh.u)
         self.bend_viscosity = mat.bend_viscosity_at(self.mesh.u)
-        self.twist_stiffness = mat.twist_stiffness_at(self.mesh.midpoints)
-        self.twist_viscosity = mat.twist_viscosity_at(self.mesh.midpoints)
+        if self.dim == 3:
+            self.twist_stiffness = mat.twist_stiffness_at(self.mesh.midpoints)
+            self.twist_viscosity = mat.twist_viscosity_at(self.mesh.midpoints)
 
 
 @dataclass
@@ -264,28 +277,30 @@ def _cross_matrices(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rod_rows(m, b, layout, mesh, drag, geom, dt, x, kappa, rest_density,
-              A_i, B_i, A_pref, gyro):
+def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     """Put the rows both models share; fills b and returns c = b - A·base.
 
     These are the momentum balance with the tension and the bending force,
     the bending law, the curvature identity and inextensibility, in the
-    dim = 2 or 3 components of x.  A_i and B_i are the bending stiffness and
-    viscosity at the interior vertices, A_pref is A_i times the preferred
-    curvature there, and gyro the spin term of the bending law's curvature
-    block (0.0 without spin).  Rows put by the caller keep b in c.
+    ctx.dim components of x.  A_pref is the bending stiffness times the
+    preferred curvature at the interior vertices, and gyro the spin term of
+    the bending law's curvature block (0.0 without spin).  Rows put by the
+    caller keep b in c.
     """
+    mesh, layout = ctx.mesh, ctx.layout
     n = mesh.n_vertices
     h = mesh.h
     tau, ttau, w = geom.tau, geom.ttau, geom.w
     hs = h * geom.s
     eye = np.eye(x.shape[1])
 
-    K = drag.element_matrices(tau)                              # (ne,d,d)
+    K = ctx.scenario.drag.element_matrices(tau)                 # (ne,d,d)
     P = eye[None] - tau[:, :, None] * tau[:, None, :]           # (ne,d,d)
 
     xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
     ii = slice(1, n - 1)        # interior vertices
+    A_i = ctx.bend_stiffness[ii]
+    B_i = ctx.bend_viscosity[ii]
     dx = x[1:] - x[:-1]
 
     # -- momentum balance at every vertex (rows at the position slots)
@@ -366,7 +381,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     ii = slice(1, n - 1)        # interior vertices
     b = np.zeros(lay.ndof)
 
-    m = _Triplets(3, lay)
+    m = _Triplets(lay)
 
     # -- twist-moment forces of element e on its two end vertices
     m.put_vec_rows(xo[:-1], zo, tk)
@@ -401,8 +416,8 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, t_new)
     beta = evaluate_field(ctx.scenario.kappa2_pref, mesh.u, t_new)
     pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
-    c = _rod_rows(m, b, lay, mesh, ctx.scenario.drag, geom, dt, x, kappa,
-                  rest_density, A_i, B_i, A_i[:, None] * pref,
+    c = _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density,
+                  A_i[:, None] * pref,
                   (B_i * spin[ii])[:, None, None] * _cross_matrices(ttau[ii]))
     c[go] = twist_rate
     return m.banded(b, "step"), b, c

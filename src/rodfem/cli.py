@@ -236,16 +236,14 @@ def build_scenario(cfg) -> Scenario:
                       ("run.t_final", "t_final")):
         if key in cfg:
             scn = dataclasses.replace(scn, **{attr: _get(cfg, key)})
-    if scn.length <= 0.0:
-        raise ConfigError(f"scenario.length must be positive, got {scn.length}")
     return scn
 
 
 def build_sim_config(cfg, scenario, n_vertices=None, dt=None) -> SimConfig:
     """SimConfig from the run and output sections (levels may override).
 
-    SimConfig itself rejects a bad horizon or spin-up, as it does for
-    library callers.
+    SimConfig itself rejects a bad horizon, spin-up or rod length, as it
+    does for library callers.
     """
     try:
         return SimConfig(
@@ -276,15 +274,11 @@ def _drive(sim: SimConfig, state=None):
 def _snapshot_files(out_dir, mesh, step, state):
     """Write snap_<step>.csv / snapel_<step>.csv; returns their names."""
     vname, ename = f"snap_{step}.csv", f"snapel_{step}.csv"
-    planar = state.x.shape[1] == 2
-    if planar:
-        nu = perp(frozen_geometry(mesh, state.x).ttau)
-        write_snapshot(out_dir / vname, out_dir / ename, mesh, state.x, nu,
-                       None, state.kappa, None, None, None, state.tension)
-    else:
-        write_snapshot(out_dir / vname, out_dir / ename, mesh, state.x,
-                       state.e1, state.e2, state.kappa, state.spin,
-                       state.twist, state.twist_moment, state.tension)
+    if state.x.shape[1] == 2:
+        state = embed_in_space(mesh, state)
+    write_snapshot(out_dir / vname, out_dir / ename, mesh, state.x, state.e1,
+                   state.e2, state.kappa, state.spin, state.twist,
+                   state.twist_moment, state.tension)
     return vname, ename
 
 

@@ -103,27 +103,12 @@ def write_diagnostics(path, records) -> None:
 
 def write_snapshot(vertex_path, element_path, mesh, x, e1, e2, kappa, spin,
                    twist, twist_moment, tension) -> None:
-    """Write the vertex and element state tables for one step.
+    """Write the vertex and element state tables of one spatial state.
 
-    Planar states are exported in their standard embedding: third coordinate
-    zero, first director completed with a zero third component, second
-    director fixed to the plane normal.
+    A planar state is written through its embedding in space,
+    `solver2d.embed_in_space`.
     """
     n = mesh.n_vertices
-    x3 = np.zeros((n, 3))
-    x3[:, : x.shape[1]] = x
-    e13 = np.zeros((n, 3))
-    e13[:, : e1.shape[1]] = e1
-    if e2 is None:
-        e23 = np.zeros((n, 3))
-        e23[:, 2] = 1.0
-    else:
-        e23 = np.zeros((n, 3))
-        e23[:, : e2.shape[1]] = e2
-    k3 = np.zeros((n, 3))
-    k3[:, : kappa.shape[1]] = kappa
-    spin = np.zeros(n) if spin is None else spin
-
     with open(vertex_path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(
@@ -131,12 +116,10 @@ def write_snapshot(vertex_path, element_path, mesh, x, e1, e2, kappa, spin,
              "kappa_x", "kappa_y", "kappa_z", "m"]
         )
         for i in range(n):
-            row = [mesh.u[i], *x3[i], *e13[i], *e23[i], *k3[i], spin[i]]
+            row = [mesh.u[i], *x[i], *e1[i], *e2[i], *kappa[i], spin[i]]
             out.writerow([_g17(v) for v in row])
 
     ne = mesh.n_elements
-    twist = np.zeros(ne) if twist is None else twist
-    twist_moment = np.zeros(ne) if twist_moment is None else twist_moment
     with open(element_path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["u_mid", "gamma", "z_moment", "p"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly3d import StepContext3D, solve_step
+from .assembly3d import StepContext, solve_step
 from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
                           length_error)
 from .errors import InvalidParameterError
@@ -82,6 +82,11 @@ class SimConfig:
         if not (np.isfinite(spin_up) and spin_up >= 0.0):
             raise InvalidParameterError(
                 f"scenario.spin_up must be finite and >= 0, got {spin_up}"
+            )
+        length = self.scenario.length
+        if not (np.isfinite(length) and length > 0.0):
+            raise InvalidParameterError(
+                f"scenario.length must be finite and positive, got {length}"
             )
         if self.snapshot_stride < 0:
             raise InvalidParameterError("snapshot_stride must be nonnegative")
@@ -277,7 +282,7 @@ def run(config: SimConfig, state: RodState3D = None,
     """
     scn = config.scenario
     mesh = uniform_mesh(config.n_vertices)
-    ctx = StepContext3D(mesh, scn)
+    ctx = StepContext(mesh, scn, 3)
 
     def step(st, gm, t, stats):
         res = solve_step(

@@ -5,68 +5,25 @@ averaged tangent, recomputed from geometry each step, so frame bookkeeping
 (and its error) vanishes identically.  Unknowns per step are position,
 bending moment, curvature, and tension; twist and spin do not exist.
 
-This module holds the planar unknown layout, the preferred curvature the
-planar step bends toward, and the decode of its solution.  The rows of the
-step system are the ones `assembly3d._rod_rows` puts for both models, and
-the step loop that `run2d` and `spun_up_state_2d` go through is owned by
-`engine3d`.
+This module holds the preferred curvature the planar step bends toward and
+the decode of its solution.  The unknown layout and the per-run constants
+are a dim = 2 `assembly3d.StepContext`, the rows of the step system are the
+ones `assembly3d._rod_rows` puts for both models, and the step loop that
+`run2d` and `spun_up_state_2d` go through is owned by `engine3d`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly3d import (BandPattern, _moments, _rod_rows, _solve_increment,
+from .assembly3d import (StepContext, _moments, _rod_rows, _solve_increment,
                          _Triplets)
 from .diagnostics import elastic_energy
 from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
                        _spin_up)
-from .errors import AssemblyError
 from .geometry import (Mesh, element_tangents, frozen_geometry, perp,
                        uniform_mesh, vertex_curvature)
 from .scenarios import evaluate_field
-
-@dataclass
-class DofLayout2D:
-    """Interleaved numbering: per interior vertex position (2), bending
-    moment (2), curvature (2); boundary vertices position only; one tension
-    slot per element in between.  x_slots, y_slots and k_slots list the two
-    slots of each vertex's position and of each interior vertex's bending
-    moment and curvature.  A layout is made once per run and also
-    holds the planar step matrix's band pattern, recorded by the first
-    assembly."""
-
-    n_vertices: int
-    x_off: np.ndarray = field(init=False, repr=False)
-    y_off: np.ndarray = field(init=False, repr=False)
-    k_off: np.ndarray = field(init=False, repr=False)
-    p_off: np.ndarray = field(init=False, repr=False)
-    x_slots: np.ndarray = field(init=False, repr=False)   # (n, 2)
-    y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 2)
-    k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, 2)
-    ndof: int = field(init=False)
-    pattern: BandPattern = field(init=False, default=None, repr=False)
-
-    def __post_init__(self):
-        n = self.n_vertices
-        if n < 3:
-            raise AssemblyError(f"need at least 3 vertices, got {n}")
-        x_off = np.empty(n, dtype=np.int64)
-        x_off[0] = 0
-        x_off[1:] = 7 * np.arange(1, n, dtype=np.int64) - 4
-        y_off = np.full(n, -1, dtype=np.int64)
-        k_off = np.full(n, -1, dtype=np.int64)
-        y_off[1:-1] = x_off[1:-1] + 2
-        k_off[1:-1] = x_off[1:-1] + 4
-        self.x_off = x_off
-        self.y_off = y_off
-        self.k_off = k_off
-        self.p_off = 7 * np.arange(n - 1, dtype=np.int64) + 2
-        d2 = np.arange(2)
-        self.x_slots = x_off[:, None] + d2
-        self.y_slots = y_off[1:-1, None] + d2
-        self.k_slots = k_off[1:-1, None] + d2
-        self.ndof = 7 * n - 9
 
 
 @dataclass
@@ -97,56 +54,51 @@ def initial_state_2d(mesh: Mesh, scenario) -> RodState2D:
     )
 
 
-def assemble_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
-                     geom, dt, t_new, x, kappa, rest_density):
+def assemble_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density):
     """Step matrix A, right-hand side b, and c = b - A·base for one planar
     step: the rows the spatial model shares, without spin and twist, bent
     toward alpha times the planar normal; see `assembly3d.assemble_step`."""
+    mesh = ctx.mesh
     ii = slice(1, mesh.n_vertices - 1)      # interior vertices
-    A_i = bend_stiffness[ii]
-    alpha = evaluate_field(scenario.kappa1_pref, mesh.u, t_new)
-    b = np.zeros(layout.ndof)
-    m = _Triplets(2, layout)
-    c = _rod_rows(m, b, layout, mesh, scenario.drag, geom, dt, x, kappa,
-                  rest_density, A_i, bend_viscosity[ii],
+    A_i = ctx.bend_stiffness[ii]
+    alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, t_new)
+    b = np.zeros(ctx.layout.ndof)
+    m = _Triplets(ctx.layout)
+    c = _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density,
                   A_i[:, None] * alpha[ii, None] * perp(geom.ttau[ii]), 0.0)
     return m.banded(b, "planar step"), b, c
 
 
-def solve_step_2d(mesh, scenario, bend_stiffness, bend_viscosity, layout,
-                  geom, dt, t_new, x, kappa, bend_moment, rest_density,
+def solve_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density,
                   residual_tol=1e-10):
     """One implicit planar step; `geom` is the frozen geometry of x."""
-    matrix, b, c = assemble_step_2d(
-        mesh, scenario, bend_stiffness, bend_viscosity, layout, geom, dt,
-        t_new, x, kappa, rest_density,
-    )
-    sol, res = _solve_increment(matrix, b, c, layout.x_slots, x, "planar step",
+    matrix, b, c = assemble_step_2d(ctx, geom, dt, t_new, x, kappa,
+                                    rest_density)
+    lay = ctx.layout
+    sol, res = _solve_increment(matrix, b, c, lay.x_slots, x, "planar step",
                                 t_new, residual_tol)
-    y_new, k_new = _moments(layout, sol)
-    ab = evaluate_field(scenario.kappa1_pref, mesh.u[[0, -1]], t_new)
+    y_new, k_new = _moments(lay, sol)
+    ab = evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u[[0, -1]], t_new)
     k_new[[0, -1]] = ab[:, None] * perp(geom.ttau[[0, -1]])
-    return sol[layout.x_slots], y_new, k_new, sol[layout.p_off], res
+    return sol[lay.x_slots], y_new, k_new, sol[lay.p_off], res
 
 
 def _planar_model(config, mesh):
     """The planar step and measure that the shared driver calls."""
-    scn = config.scenario
-    layout = DofLayout2D(mesh.n_vertices)
-    A_v = scn.material.bend_stiffness_at(mesh.u)
-    B_v = scn.material.bend_viscosity_at(mesh.u)
+    ctx = StepContext(mesh, config.scenario, 2)
 
     def step(st, gm, t, stats):
         x, y, k, p, res = solve_step_2d(
-            mesh, scn, A_v, B_v, layout, gm, config.dt, t, st.x,
-            st.kappa, st.bend_moment, st.rest_density, config.residual_tol,
+            ctx, gm, config.dt, t, st.x, st.kappa, st.rest_density,
+            config.residual_tol,
         )
         new = RodState2D(t, x, k, y, p, st.rest_density)
         return new, frozen_geometry(mesh, x), res
 
     def measure(st, gm):
-        alpha = evaluate_field(scn.kappa1_pref, mesh.u, st.t)
-        energy = elastic_energy(gm.w, A_v, st.kappa, alpha[:, None] * perp(gm.ttau))
+        alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, st.t)
+        energy = elastic_energy(gm.w, ctx.bend_stiffness, st.kappa,
+                                alpha[:, None] * perp(gm.ttau))
         return energy, 0.0
 
     return step, measure

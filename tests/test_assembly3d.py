@@ -1,4 +1,4 @@
-"""One spatial step: unknown layout, assembly, and the solved fields.
+"""One step of either model: unknown layout, assembly, the solved fields.
 
 The banded assembly is checked against an independent dense loop
 implementation with its own unknown ordering; agreement of the decoded
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from rodfem.assembly3d import (
-    DofLayout3D,
-    StepContext3D,
+    DofLayout,
+    StepContext,
     assemble_step,
     frozen_geometry,
     solve_step,
@@ -26,7 +26,7 @@ from rodfem.geometry import (
 from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
-from rodfem.solver2d import DofLayout2D, assemble_step_2d
+from rodfem.solver2d import assemble_step_2d
 
 from reference_dense import ref_step_3d
 
@@ -69,7 +69,7 @@ def bent_test_state(n, seed=0, scale=0.15):
 
 def run_both(mesh, state, scenario, dt, t_new):
     """Solve the same step with the banded and the dense path."""
-    ctx = StepContext3D(mesh, scenario)
+    ctx = StepContext(mesh, scenario, 3)
     geom = frozen_geometry(mesh, state["x"])
     got = solve_step(
         ctx, geom, dt, t_new, state["x"], state["e1"], state["e2"],
@@ -94,24 +94,31 @@ def run_both(mesh, state, scenario, dt, t_new):
 
 
 def test_unknown_layout_is_a_tight_permutation():
-    lay = DofLayout3D(16)
-    assert lay.ndof == 13 * 16 - 15 == 193
-    slots = []
-    n = 16
-    for i in range(n):
-        slots.extend(lay.x_off[i] + d for d in range(3))
-        slots.append(lay.m_off[i])
-    for i in range(1, n - 1):
-        slots.extend(lay.y_off[i] + d for d in range(3))
-        slots.extend(lay.k_off[i] + d for d in range(3))
-    for e in range(n - 1):
-        slots.extend([lay.z_off[e], lay.g_off[e], lay.p_off[e]])
-    assert sorted(slots) == list(range(lay.ndof))
+    # 13 unknowns per vertex and element in space, 7 in the plane; the end
+    # vertices have no bending-moment or curvature slots
+    for dim, stride, missing in ((3, 13, 15), (2, 7, 9)):
+        for n in (3, 4, 9, 16):
+            lay = DofLayout(n, dim)
+            assert lay.ndof == stride * n - missing
+            assert list(lay.x_off) == [0] + [stride * i - 2 * dim
+                                             for i in range(1, n)]
+            slots = [lay.x_off[i] + d for i in range(n) for d in range(dim)]
+            slots += [lay.y_off[i] + d for i in range(1, n - 1)
+                      for d in range(dim)]
+            slots += [lay.k_off[i] + d for i in range(1, n - 1)
+                      for d in range(dim)]
+            slots += list(lay.p_off)
+            if dim == 3:
+                slots += list(lay.m_off) + list(lay.z_off) + list(lay.g_off)
+            else:
+                assert lay.m_off is lay.z_off is lay.g_off is None
+            assert sorted(slots) == list(range(lay.ndof))
 
 
 def test_layout_rejects_tiny_rods():
-    with pytest.raises(AssemblyError):
-        DofLayout3D(2)
+    for dim in (2, 3):
+        with pytest.raises(AssemblyError):
+            DofLayout(2, dim)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -147,7 +154,7 @@ def test_straight_rest_state_is_stationary():
     data = straight_rod(mesh)
     _, s = element_tangents(mesh, data.x)
     scn = rest_scenario()
-    ctx = StepContext3D(mesh, scn)
+    ctx = StepContext(mesh, scn, 3)
     geom = frozen_geometry(mesh, data.x)
     n = mesh.n_vertices
     res = solve_step(
@@ -174,13 +181,13 @@ def test_step_is_translation_equivariant():
 
 
 def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
-    """(matrix, b, c, position slots, previous positions, owner) of one bent
-    step.  owner is the per-run object the assembler takes: a StepContext3D
-    (spatial) or a DofLayout2D (planar), fresh when None."""
+    """(matrix, b, c, position slots, previous positions, context) of one
+    bent step.  owner is the StepContext the assembler takes, fresh when
+    None."""
     dt, t_new = 1.0 / 16.0, 0.25
     if model == "spatial":
         mesh, st = bent_test_state(n, seed=seed, scale=scale)
-        ctx = owner or StepContext3D(mesh, builtin_scenario("worm3d"))
+        ctx = owner or StepContext(mesh, builtin_scenario("worm3d"), 3)
         matrix, b, c = assemble_step(
             ctx, frozen_geometry(mesh, st["x"]), dt, t_new, st["x"], st["e1"],
             st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
@@ -194,15 +201,12 @@ def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     ])
     _, s = element_tangents(mesh, x)
     kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(n, 2))
-    scn = builtin_scenario("worm2d")
-    layout = owner or DofLayout2D(n)
+    ctx = owner or StepContext(mesh, builtin_scenario("worm2d"), 2)
     matrix, b, c = assemble_step_2d(
-        mesh, scn, scn.material.bend_stiffness_at(mesh.u),
-        scn.material.bend_viscosity_at(mesh.u), layout,
-        frozen_geometry(mesh, x), dt, t_new, x, kappa,
+        ctx, frozen_geometry(mesh, x), dt, t_new, x, kappa,
         s * (1.0 + 0.05 * rng.uniform(size=n - 1)),
     )
-    return matrix, b, c, layout.x_slots, x, layout
+    return matrix, b, c, ctx.layout.x_slots, x, ctx
 
 
 @pytest.mark.parametrize("model", ["spatial", "planar"])
@@ -221,7 +225,7 @@ def test_assembled_increment_rhs_is_b_minus_a_base(model):
 def test_band_pattern_is_recorded_once_and_reused(model, n):
     # n = 3, 4 have fewer unknowns than the band has rows
     first, *_, owner = assembled_step(model, n=n, seed=5, scale=0.15)
-    layout = owner.layout if model == "spatial" else owner
+    layout = owner.layout
     pattern = layout.pattern
     assert pattern is not None
     second, *_ = assembled_step(model, n=n, seed=6, scale=0.25, owner=owner)
@@ -236,7 +240,7 @@ def test_band_pattern_is_recorded_once_and_reused(model, n):
 def test_assembly_with_another_runs_pattern_is_rejected():
     _, *_, small = assembled_step("spatial", n=4)
     mesh, st = bent_test_state(5)
-    ctx = StepContext3D(mesh, builtin_scenario("worm3d"))
+    ctx = StepContext(mesh, builtin_scenario("worm3d"), 3)
     ctx.layout.pattern = small.layout.pattern
     with pytest.raises(AssemblyError, match="band pattern"):
         assemble_step(

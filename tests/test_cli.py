@@ -223,6 +223,10 @@ def test_compare_table_columns_and_agreement(tmp_path):
     ("run.t_final = nan", "t_final"),
     ("run.t_final = inf", "t_final"),
     ("scenario.spin_up = nan", "spin_up"),
+    *(pytest.param(f"run.dimension = {dimension}\nscenario.length = {length}",
+                   "scenario.length",
+                   id=f"scenario.length = {length}-{dimension}d")
+      for length in ("nan", "inf", "0", "-1") for dimension in (2, 3)),
 ])
 def test_non_finite_horizon_or_spin_up_is_a_config_error(tmp_path, line, key,
                                                          capsys):

@@ -22,6 +22,7 @@ from rodfem.diagnostics import (
     write_snapshot,
 )
 from rodfem.geometry import Mesh, element_tangents, uniform_mesh
+from rodfem.solver2d import RodState2D, embed_in_space
 
 
 def test_eoc_of_a_measured_error_pair():
@@ -183,12 +184,15 @@ def test_snapshot_files(tmp_path):
 
 
 def test_snapshot_planar_embedding(tmp_path):
+    # a planar state is written through its embedding in space
     mesh = uniform_mesh(4)
     x = np.column_stack([mesh.u, 0.1 * mesh.u])
-    e1 = np.tile([0.0, 1.0], (4, 1))
-    kappa = np.zeros((4, 2))
-    write_snapshot(tmp_path / "v.csv", tmp_path / "e.csv", mesh, x, e1, None,
-                   kappa, None, None, None, np.zeros(3))
+    st = embed_in_space(mesh, RodState2D(
+        t=0.0, x=x, kappa=np.zeros((4, 2)), bend_moment=np.zeros((4, 2)),
+        tension=np.zeros(3), rest_density=np.ones(3)))
+    write_snapshot(tmp_path / "v.csv", tmp_path / "e.csv", mesh, st.x, st.e1,
+                   st.e2, st.kappa, st.spin, st.twist, st.twist_moment,
+                   st.tension)
     with open(tmp_path / "v.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     # third coordinate zero, second director fixed to the plane normal

@@ -126,19 +126,26 @@ def test_config_rejects_a_residual_tolerance_no_step_can_meet(tol):
         SimConfig(builtin_scenario("relaxation"), residual_tol=tol)
 
 
-@pytest.mark.parametrize("t_final,spin_up,name", [
-    (np.nan, 0.0, "t_final"), (np.inf, 0.0, "t_final"),
-    (0.0, 0.0, "t_final"), (-1.0, 0.0, "t_final"),
-    (1.0, np.nan, "spin_up"), (1.0, np.inf, "spin_up"),
-    (1.0, -0.5, "spin_up"),
+@pytest.mark.parametrize("t_final,spin_up,length,dimension,name", [
+    *(pytest.param(t_final, spin_up, 1.0, 3, name,
+                   id=f"{t_final}-{spin_up}-{name}")
+      for t_final, spin_up, name in (
+          (np.nan, 0.0, "t_final"), (np.inf, 0.0, "t_final"),
+          (0.0, 0.0, "t_final"), (-1.0, 0.0, "t_final"),
+          (1.0, np.nan, "spin_up"), (1.0, np.inf, "spin_up"),
+          (1.0, -0.5, "spin_up"))),
+    *(pytest.param(1.0, 0.0, length, dimension, "length",
+                   id=f"length={length}-{dimension}d")
+      for length in (np.nan, np.inf, 0.0, -1.0) for dimension in (2, 3)),
 ])
 def test_config_rejects_a_non_finite_or_negative_horizon_or_spin_up(
-        t_final, spin_up, name):
+        t_final, spin_up, length, dimension, name):
     # NaN passes every `<= 0` / `< 0` check, so each bound is tested as
     # "finite and in range"
-    scn = dataclasses.replace(builtin_scenario("worm3d"), spin_up=spin_up)
+    scn = dataclasses.replace(builtin_scenario("worm3d"), spin_up=spin_up,
+                              length=length)
     with pytest.raises(InvalidParameterError, match=name):
-        SimConfig(scn, t_final=t_final)
+        SimConfig(scn, t_final=t_final, dimension=dimension)
 
 
 def test_config_accepts_an_infinite_residual_tolerance():

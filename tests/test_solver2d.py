@@ -1,14 +1,15 @@
-"""Planar reduction: layout, oracle agreement, and the spatial embedding."""
+"""Planar reduction: layout, oracle agreement, no twist, and the spatial embedding."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from rodfem.assembly3d import DofLayout
 from rodfem.engine3d import SimConfig, run
+from rodfem.errors import InvalidParameterError
 from rodfem.geometry import uniform_mesh
 from rodfem.solver2d import (
-    DofLayout2D,
     embed_in_space,
     initial_state_2d,
     run2d,
@@ -21,12 +22,12 @@ from reference_dense import ref_step_2d
 
 
 def test_planar_layout_sizes():
-    assert DofLayout2D(16).ndof == 103
-    assert DofLayout2D(7).ndof == 40
+    assert DofLayout(16, 2).ndof == 103
+    assert DofLayout(7, 2).ndof == 40
 
 
 def test_planar_layout_is_a_permutation():
-    lay = DofLayout2D(9)
+    lay = DofLayout(9, 2)
     n = 9
     slots = []
     for i in range(n):
@@ -71,6 +72,19 @@ def test_two_steps_match_dense_reference():
     np.testing.assert_allclose(fin.kappa, out["kappa"], atol=1e-10)
     np.testing.assert_allclose(fin.bend_moment, out["y"], atol=1e-10)
     np.testing.assert_allclose(fin.tension, out["p"], atol=1e-10)
+
+
+def test_only_the_spatial_model_samples_the_twist_fields():
+    # the planar model has no twist, so a twist stiffness that the spatial
+    # model rejects does not stop a planar run
+    worm = builtin_scenario("worm2d")
+    scn = dataclasses.replace(
+        worm, spin_up=0.0,
+        material=dataclasses.replace(worm.material, twist_stiffness=0.0))
+    pin = dict(n_vertices=8, dt=0.5, t_final=1.0)
+    assert run2d(SimConfig(scn, dimension=2, **pin)).stats.steps == 2
+    with pytest.raises(InvalidParameterError, match="twist_stiffness"):
+        run(SimConfig(scn, **pin))
 
 
 def test_spun_up_state_is_developed_with_clock_reset():
