@@ -5,10 +5,12 @@ Each library case is a short run of the library.  Its digest covers the
 dtype, shape and bytes of every `final_state` array, every
 `DiagnosticsRecord` field and every `RunStats` field.  Each CLI case is one
 `rodfem run` into a temporary directory; its digest covers the name and
-bytes of every output file except `manifest.json`, whose timings vary.  Two
-source trees that print the same lines produced bit-identical trajectories
-and output files.  Run it on both trees of a change that must not move any
-number and compare the output:
+bytes of every output file except `manifest.json`, whose timings vary.  Each
+study case is one `rodfem converge` or `rodfem compare2d3d` at levels 0..1;
+its digest covers every cell of the study's table except the wall-time
+columns.  Two source trees that print the same lines produced bit-identical
+trajectories, output files and study tables.  Run it on both trees of a
+change that must not move any number and compare the output:
 
     PYTHONPATH=src python3 scripts/trajectory_digest.py > after.txt
 
@@ -22,6 +24,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -61,6 +64,14 @@ CLI_CASES = (
     ("cli-worm3d-n32", "worm3d", 3),
 )
 
+#: (case name, subcommand, scenario, table, wall-time columns left out) of
+#: the refinement-study cases, levels 0..1 with run.t_final = 2.
+STUDY_CASES = (
+    ("cli-converge", "converge", "relaxation", "converge.csv", ()),
+    ("cli-compare", "compare2d3d", "worm2d", "compare.csv",
+     ("time_2d", "time_3d", "time_ratio")),
+)
+
 
 def _feed(h, name, value):
     a = np.asarray(value)
@@ -97,12 +108,23 @@ def run_case(scenario, n_vertices, dimension, start):
     return driver(config(T_FINAL), state=half.final_state)
 
 
+def rodfem_cli(tmp, argv, config_text):
+    """Run `rodfem <argv>` on a config file into tmp/out; returns tmp/out."""
+    config = tmp / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rodfem_main([*argv, "--config", str(config), "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"rodfem {' '.join(argv)} exited {code}")
+    return out
+
+
 def cli_digest(scenario, dimension) -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        config = tmp / "run.cfg"
-        config.write_text(
+        out = rodfem_cli(
+            Path(tmp), ["run"],
             f"scenario.name = {scenario}\n"
             f"run.dimension = {dimension}\n"
             "run.n_vertices = 32\n"
@@ -110,18 +132,26 @@ def cli_digest(scenario, dimension) -> str:
             f"run.t_final = {T_FINAL!r}\n"
             "output.snapshot_stride = 4\n"
             "output.kymograph = true\n",
-            encoding="utf-8",
         )
-        out = tmp / "out"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = rodfem_main(["run", "--config", str(config),
-                                "--out", str(out)])
-        if code != 0:
-            raise SystemExit(f"rodfem run on {scenario} exited {code}")
         for path in sorted(out.iterdir()):
             if path.name != "manifest.json":
                 h.update(f"{path.name}|".encode())
                 h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def study_digest(command, scenario, table, timed) -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = rodfem_cli(
+            Path(tmp), [command, "--levels", "0..1"],
+            f"scenario.name = {scenario}\nrun.t_final = 2\n",
+        )
+        with open(out / table, newline="") as fh:
+            rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name not in timed]
+    for row in rows:
+        h.update((",".join(row[i] for i in keep) + "\n").encode())
     return h.hexdigest()
 
 
@@ -130,6 +160,8 @@ def main():
         print(f"{name:<20} {digest(run_case(scenario, n_vertices, dimension, start))}")
     for name, scenario, dimension in CLI_CASES:
         print(f"{name:<20} {cli_digest(scenario, dimension)}")
+    for name, command, scenario, table, timed in STUDY_CASES:
+        print(f"{name:<20} {study_digest(command, scenario, table, timed)}")
 
 
 if __name__ == "__main__":

@@ -109,10 +109,15 @@ class _Triplets:
         self.vals.append(vecs.ravel())
 
     def banded(self, b, what) -> BandedMatrix:
-        """The band matrix holding every entry; rejects non-finite input."""
+        """The band matrix holding every entry; rejects a non-finite b.
+
+        Non-finite matrix entries are left to `factorize`, which rejects
+        them for every matrix it is given.
+        """
+        if not np.all(np.isfinite(b)):
+            raise AssemblyError(
+                f"non-finite entries in the {what} right-hand side")
         v = np.concatenate(self.vals)
-        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
-            raise AssemblyError(f"non-finite entries in the {what} system")
         if self.rows is not None:
             self.layout.pattern = _band_pattern(self.layout.ndof, self.rows,
                                                 self.cols)

@@ -20,7 +20,6 @@ mid-run.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import platform
@@ -39,6 +38,7 @@ from .diagnostics import (
     write_diagnostics,
     write_kymograph,
     write_snapshot,
+    write_table,
 )
 from .engine3d import SimConfig, run, step_count
 from .errors import (
@@ -132,7 +132,9 @@ def _get(cfg, key, default=None):
             if lowered in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return raw  # str / expr / profile stay raw here
+        if tag == "profile":
+            return _profile_of(cfg, key)
+        return raw  # str / expr stay raw here
     except ValueError:
         raise ConfigError(f"{key}: cannot parse '{raw}' as {tag}") from None
 
@@ -192,20 +194,9 @@ def build_scenario(cfg) -> Scenario:
                 except ConfigError as exc:
                     raise ConfigError(f"{key}: {exc}") from None
 
-    material_keys = {
-        "material.bend_stiffness": "bend_stiffness",
-        "material.bend_viscosity": "bend_viscosity",
-        "material.twist_stiffness": "twist_stiffness",
-        "material.twist_viscosity": "twist_viscosity",
-        "material.rotary_drag": "rotary_drag",
-    }
-    updates = {}
-    for key, attr in material_keys.items():
-        if key in cfg:
-            if attr == "rotary_drag":
-                updates[attr] = _get(cfg, key)
-            else:
-                updates[attr] = _profile_of(cfg, key)
+    # every material key but epsilon sets the field of the same name
+    updates = {key.split(".")[1]: _get(cfg, key) for key in cfg
+               if key.startswith("material.") and key != "material.epsilon"}
     if updates:
         try:
             scn = dataclasses.replace(
@@ -232,31 +223,23 @@ def build_scenario(cfg) -> Scenario:
         scn = dataclasses.replace(scn, drag=drag)
 
     for key, attr in (("scenario.spin_up", "spin_up"),
-                      ("scenario.length", "length"),
-                      ("run.t_final", "t_final")):
+                      ("scenario.length", "length")):
         if key in cfg:
             scn = dataclasses.replace(scn, **{attr: _get(cfg, key)})
     return scn
 
 
-def build_sim_config(cfg, scenario, n_vertices=None, dt=None) -> SimConfig:
+def build_sim_config(cfg, scenario, **levels) -> SimConfig:
     """SimConfig from the run and output sections (levels may override).
 
+    Each run.* key and output.snapshot_stride set the SimConfig field of the
+    same name; a key the config leaves out keeps the field's default.
     SimConfig itself rejects a bad horizon, spin-up or rod length, as it
-    does for library callers.
+    does for library callers, in a message that names the field.
     """
-    try:
-        return SimConfig(
-            scenario=scenario,
-            n_vertices=n_vertices if n_vertices is not None
-            else _get(cfg, "run.n_vertices", 16),
-            dt=dt if dt is not None else _get(cfg, "run.dt", 1.0),
-            dimension=_get(cfg, "run.dimension", 3),
-            snapshot_stride=_get(cfg, "output.snapshot_stride", 0),
-            residual_tol=_get(cfg, "run.residual_tol", 1e-10),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"run: {exc}") from None
+    fields = {key.split(".")[1]: _get(cfg, key) for key in cfg
+              if key.startswith("run.") or key == "output.snapshot_stride"}
+    return SimConfig(scenario=scenario, **{**fields, **levels})
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +247,11 @@ def build_sim_config(cfg, scenario, n_vertices=None, dt=None) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def _drive(sim: SimConfig, state=None):
+def _drive(sim: SimConfig):
     """Dispatch to the solver the config's dimension selects."""
     if sim.dimension == 2:
-        return run2d(sim, state=state)
-    return run(sim, state=state)
+        return run2d(sim)
+    return run(sim)
 
 
 def _snapshot_files(out_dir, mesh, step, state):
@@ -320,14 +303,9 @@ def _write_manifest(out_dir, args, cfg, outputs, timings) -> None:
 
 def _parse_levels(text: str):
     """Parse --levels 'L0..L1' (or a single 'L') into an inclusive range."""
-    parts = text.split("..")
+    lo, sep, hi = text.partition("..")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError(text)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ConfigError(
             f"--levels: expected 'L0..L1' with integers, got '{text}'"
@@ -384,7 +362,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_converge(args) -> int:
+def _refinement_study(args, table, level_row):
+    """Preamble, level loop and manifest of `converge` and `compare2d3d`.
+
+    level_row(sim, level, timings) runs one level, adds its wall times to
+    timings and returns its row of `table`, which the caller writes.
+    Returns the config, scenario, level range, output directory and rows.
+    """
     cfg = parse_config(args.config)
     scenario = build_scenario(cfg)
     lo, hi = _parse_levels(args.levels)
@@ -395,21 +379,30 @@ def cmd_converge(args) -> int:
     for level in range(lo, hi + 1):
         dt, n = _level_params(level)
         sim = build_sim_config(cfg, scenario, n_vertices=n, dt=dt)
+        rows.append(level_row(sim, level, timings))
+    _write_manifest(out_dir, args, cfg, {"table": table}, timings)
+    return cfg, scenario, f"{lo}..{hi}", out_dir, rows
+
+
+def cmd_converge(args) -> int:
+    def level_row(sim, level, timings):
         result = _drive(sim)
-        stats = result.stats
-        rows.append({
-            "dt": dt, "n_vertices": n, "max_f1": stats.max_f1, "eoc": None,
-            "max_f2": stats.max_f2, "max_f2_increment": stats.max_f2_increment,
-        })
         timings[f"level_{level}"] = result.wall_time
+        stats = result.stats
+        return {
+            "dt": sim.dt, "n_vertices": sim.n_vertices,
+            "max_f1": stats.max_f1, "eoc": None, "max_f2": stats.max_f2,
+            "max_f2_increment": stats.max_f2_increment,
+        }
+
+    cfg, scenario, levels, out_dir, rows = _refinement_study(
+        args, "converge.csv", level_row)
     rates = eoc([r["max_f1"] for r in rows], [r["dt"] for r in rows])
     for r, rate in zip(rows[1:], rates):
         r["eoc"] = float(rate)
-
     write_convergence_table(out_dir / "converge.csv", rows)
-    _write_manifest(out_dir, args, cfg, {"table": "converge.csv"}, timings)
 
-    print(f"{scenario.name}: refinement levels {lo}..{hi} "
+    print(f"{scenario.name}: refinement levels {levels} "
           f"({'2' if _get(cfg, 'run.dimension', 3) == 2 else '3'}-d)")
     print(f"{'dt':>12} {'n':>6} {'max_f1':>13} {'eoc':>9} {'max_f2':>13}")
     for r in rows:
@@ -420,61 +413,40 @@ def cmd_converge(args) -> int:
 
 
 def cmd_compare2d3d(args) -> int:
-    cfg = parse_config(args.config)
-    scenario = build_scenario(cfg)
-    lo, hi = _parse_levels(args.levels)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows, timings = [], {}
-    for level in range(lo, hi + 1):
-        dt, n = _level_params(level)
-        sim2 = build_sim_config(cfg, scenario, n_vertices=n, dt=dt)
-        sim2 = dataclasses.replace(sim2, dimension=2)
-        sim3 = dataclasses.replace(sim2, dimension=3)
-        mesh = uniform_mesh(n)
+    def level_row(sim, level, timings):
+        sim2 = dataclasses.replace(sim, dimension=2)
+        sim3 = dataclasses.replace(sim, dimension=3)
 
         # both solvers launch from the same developed planar state, so any
         # drift between their trajectories is solver-induced
         t0 = time.perf_counter()
         planar0 = spun_up_state_2d(sim2)
-        spin_up_time = time.perf_counter() - t0
-        spatial0 = embed_in_space(mesh, planar0)
+        timings[f"level_{level}_spin_up"] = time.perf_counter() - t0
+        spatial0 = embed_in_space(uniform_mesh(sim.n_vertices), planar0)
 
         res2 = run2d(sim2, state=planar0)
         res3 = run(sim3, state=spatial0)
-
-        com2 = np.zeros(3)
-        com2[:2] = res2.records[-1].com[:2]
-        com3 = np.asarray(res3.records[-1].com)
-        diff = float(np.linalg.norm(com3 - com2))
-        steps = step_count(sim2.horizon, dt)
-        rows.append({
-            "dt": dt, "n_vertices": n, "com_difference": diff,
-            "com_difference_per_step": diff / steps,
-            "time_2d": res2.wall_time, "time_3d": res3.wall_time,
-            "time_ratio": res3.wall_time / max(res2.wall_time, 1e-12),
-        })
-        timings[f"level_{level}_spin_up"] = spin_up_time
         timings[f"level_{level}_2d"] = res2.wall_time
         timings[f"level_{level}_3d"] = res3.wall_time
 
+        com2 = np.append(res2.records[-1].com, 0.0)
+        diff = float(np.linalg.norm(res3.records[-1].com - com2))
+        return {
+            "dt": sim.dt, "n_vertices": sim.n_vertices,
+            "com_difference": diff,
+            "com_difference_per_step": diff / step_count(sim.t_final, sim.dt),
+            "time_2d": res2.wall_time, "time_3d": res3.wall_time,
+            "time_ratio": res3.wall_time / max(res2.wall_time, 1e-12),
+        }
+
+    _, scenario, levels, out_dir, rows = _refinement_study(
+        args, "compare.csv", level_row)
     header = ["dt", "n_vertices", "com_difference", "com_difference_per_step",
               "time_2d", "time_3d", "time_ratio"]
-    with open(out_dir / "compare.csv", "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        for r in rows:
-            out.writerow([
-                "%.17g" % r["dt"], str(r["n_vertices"]),
-                "%.17g" % r["com_difference"],
-                "%.17g" % r["com_difference_per_step"],
-                "%.17g" % r["time_2d"], "%.17g" % r["time_3d"],
-                "%.17g" % r["time_ratio"],
-            ])
-    _write_manifest(out_dir, args, cfg, {"table": "compare.csv"}, timings)
+    write_table(out_dir / "compare.csv", header,
+                [[r[k] for r in rows] for k in header])
 
-    print(f"{scenario.name}: planar vs spatial, levels {lo}..{hi}")
+    print(f"{scenario.name}: planar vs spatial, levels {levels}")
     print(f"{'dt':>12} {'n':>6} {'com diff':>13} {'per step':>13} {'ratio':>7}")
     for r in rows:
         print(f"{r['dt']:>12.6g} {r['n_vertices']:>6d} "

@@ -1,5 +1,9 @@
 """Scalar functionals, convergence tables, and CSV export.
 
+Every CSV table rodfem writes goes through `write_table`, the one place
+that knows the CSV dialect and the cell format.  The other writers only
+say which columns a table has.
+
 All functionals are evaluated on the *current* state: quadrature weights use
 the current length elements and the preferred-field comparison uses the
 current directors, not the frozen coefficients the step was built with.
@@ -82,23 +86,32 @@ DIAGNOSTICS_COLUMNS = [
 ]
 
 
-def _g17(x) -> str:
-    return "%.17g" % float(x)
+def write_table(path, header, columns) -> None:
+    """Write a CSV table: the header row, then row k of every column.
+
+    Columns are sequences of equal length.  A cell that is a Python int is
+    written with str, None as an empty cell and any other number with 17
+    significant digits, which reproduces a double bit for bit.  Cells are
+    formatted row by row as the file is written.
+    """
+    cells = [("" if v is None else str(v) if isinstance(v, int) else "%.17g" % v
+              for v in column)
+             for column in columns]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(zip(*cells, strict=True))
 
 
 def write_diagnostics(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(DIAGNOSTICS_COLUMNS)
-        for r in records:
-            com = np.zeros(3)
-            com[: len(r.com)] = r.com
-            out.writerow(
-                [str(r.step)]
-                + [_g17(v) for v in (r.t, r.energy, r.f1, r.f2, r.f2_increment,
-                                     r.total_length, com[0], com[1], com[2],
-                                     r.s_min, r.s_max)]
-            )
+    """Per-step table of the records; a planar center of mass gets com_z = 0."""
+    com = np.zeros((len(records), 3))
+    for row, r in zip(com, records):
+        row[: len(r.com)] = r.com
+    fields = [[getattr(r, name) for r in records]
+              for name in DIAGNOSTICS_COLUMNS if not name.startswith("com_")]
+    i = DIAGNOSTICS_COLUMNS.index("com_x")
+    write_table(path, DIAGNOSTICS_COLUMNS, [*fields[:i], *com.T, *fields[i:]])
 
 
 def write_snapshot(vertex_path, element_path, mesh, x, e1, e2, kappa, spin,
@@ -108,27 +121,14 @@ def write_snapshot(vertex_path, element_path, mesh, x, e1, e2, kappa, spin,
     A planar state is written through its embedding in space,
     `solver2d.embed_in_space`.
     """
-    n = mesh.n_vertices
-    with open(vertex_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            ["u", "x", "y", "z", "e1x", "e1y", "e1z", "e2x", "e2y", "e2z",
-             "kappa_x", "kappa_y", "kappa_z", "m"]
-        )
-        for i in range(n):
-            row = [mesh.u[i], *x[i], *e1[i], *e2[i], *kappa[i], spin[i]]
-            out.writerow([_g17(v) for v in row])
-
-    ne = mesh.n_elements
-    with open(element_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["u_mid", "gamma", "z_moment", "p"])
-        mids = mesh.midpoints
-        for e in range(ne):
-            out.writerow(
-                [_g17(v) for v in (mids[e], twist[e], twist_moment[e],
-                                   tension[e])]
-            )
+    write_table(
+        vertex_path,
+        ["u", "x", "y", "z", "e1x", "e1y", "e1z", "e2x", "e2y", "e2z",
+         "kappa_x", "kappa_y", "kappa_z", "m"],
+        [mesh.u, *x.T, *e1.T, *e2.T, *kappa.T, spin],
+    )
+    write_table(element_path, ["u_mid", "gamma", "z_moment", "p"],
+                [mesh.midpoints, twist, twist_moment, tension])
 
 
 def write_kymograph(vertex_path, element_path, mesh, samples) -> None:
@@ -140,26 +140,18 @@ def write_kymograph(vertex_path, element_path, mesh, samples) -> None:
     (u_mid, t, gamma) and is left empty apart from its header when no run
     supplies a twist.
     """
-    with open(vertex_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["u", "t", "alpha", "beta"])
-        for sample in samples:
-            for i in range(mesh.n_vertices):
-                out.writerow([_g17(v) for v in (
-                    mesh.u[i], sample["t"], sample["alpha"][i],
-                    sample["beta"][i],
-                )])
-    with open(element_path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["u_mid", "t", "gamma"])
-        mids = mesh.midpoints
-        for sample in samples:
-            if sample["gamma"] is None:
-                continue
-            for e in range(mesh.n_elements):
-                out.writerow([_g17(v) for v in (
-                    mids[e], sample["t"], sample["gamma"][e],
-                )])
+    write_table(vertex_path, ["u", "t", "alpha", "beta"], [
+        np.tile(mesh.u, len(samples)),
+        np.repeat([s["t"] for s in samples], mesh.n_vertices),
+        np.ravel([s["alpha"] for s in samples]),
+        np.ravel([s["beta"] for s in samples]),
+    ])
+    twisted = [s for s in samples if s["gamma"] is not None]
+    write_table(element_path, ["u_mid", "t", "gamma"], [
+        np.tile(mesh.midpoints, len(twisted)),
+        np.repeat([s["t"] for s in twisted], mesh.n_elements),
+        np.ravel([s["gamma"] for s in twisted]),
+    ])
 
 
 def write_convergence_table(path, rows) -> None:
@@ -168,16 +160,6 @@ def write_convergence_table(path, rows) -> None:
     rows are dicts with keys dt, n_vertices, max_f1, eoc (None on the first
     level), max_f2, max_f2_increment.
     """
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["dt", "n_vertices", "max_f1", "eoc", "max_f2",
-                      "max_f2_increment"])
-        for r in rows:
-            out.writerow([
-                _g17(r["dt"]),
-                str(r["n_vertices"]),
-                _g17(r["max_f1"]),
-                "" if r["eoc"] is None else _g17(r["eoc"]),
-                _g17(r["max_f2"]),
-                _g17(r["max_f2_increment"]),
-            ])
+    header = ["dt", "n_vertices", "max_f1", "eoc", "max_f2",
+              "max_f2_increment"]
+    write_table(path, header, [[r[k] for r in rows] for k in header])

@@ -58,7 +58,7 @@ class SimConfig:
     scenario: Scenario
     n_vertices: int = 16
     dt: float = 1.0
-    t_final: float = None          # defaults to the scenario's horizon
+    t_final: float = 25.0
     dimension: int = 3
     snapshot_stride: int = 0       # 0 = first and last step only
     residual_tol: float = 1e-10
@@ -74,9 +74,9 @@ class SimConfig:
             raise InvalidParameterError(
                 f"dimension must be 2 or 3, got {self.dimension}"
             )
-        if not (np.isfinite(self.horizon) and self.horizon > 0.0):
+        if not (np.isfinite(self.t_final) and self.t_final > 0.0):
             raise InvalidParameterError(
-                f"t_final must be finite and positive, got {self.horizon}"
+                f"t_final must be finite and positive, got {self.t_final}"
             )
         spin_up = self.scenario.spin_up
         if not (np.isfinite(spin_up) and spin_up >= 0.0):
@@ -94,10 +94,6 @@ class SimConfig:
             raise InvalidParameterError(
                 f"residual_tol must be positive, got {self.residual_tol}"
             )
-
-    @property
-    def horizon(self) -> float:
-        return self.scenario.t_final if self.t_final is None else self.t_final
 
 
 @dataclass
@@ -230,7 +226,7 @@ def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
         geom = frozen_geometry(mesh, state.x)
 
     t0 = state.t
-    n_steps = step_count(config.horizon - t0, config.dt)
+    n_steps = step_count(config.t_final - t0, config.dt)
     step0 = int(round(t0 / config.dt))
     records = []
     snapshots = {}

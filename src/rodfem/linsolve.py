@@ -42,18 +42,6 @@ class BandedMatrix:
         self.ku = ku
         self.data = np.zeros((2 * kl + ku + 1, n), order="F")
 
-    @classmethod
-    def from_dense(cls, a) -> "BandedMatrix":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        i, j = np.nonzero(a)
-        kl = int(max(np.max(i - j, initial=0), 0))
-        ku = int(max(np.max(j - i, initial=0), 0))
-        m = cls(a.shape[0], kl, ku)
-        m.data[kl + ku + i - j, j] = a[i, j]
-        return m
-
     def flat_indices(self, rows, cols) -> np.ndarray:
         """Scatter positions into data.reshape(-1, order="F") for (row, col)."""
         rows = np.asarray(rows)
@@ -81,16 +69,6 @@ class BandedMatrix:
         y = blas.dgbmv(max(n, 2 * kl + ku + 1), n, kl, kl + ku, 1.0, self.data,
                        np.asarray(x, dtype=float))
         return y[:n]
-
-    def toarray(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for r in range(self.kl, self.data.shape[0]):
-            d = r - self.kl - self.ku
-            j0 = max(0, -d)
-            j1 = min(self.n, self.n - d)
-            for j in range(j0, j1):
-                a[j + d, j] = self.data[r, j]
-        return a
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 A scenario bundles the three preferred fields (two bending components in the
 director frame and one twist density), the material, the drag model, and the
-protocol constants (spin-up time, default horizon, rod length).
+protocol constants (spin-up time, rod length).
 
 Custom scenarios are definable from plain strings in u and t through a small
 arithmetic expression language (see compile_expr) — enough for polynomial
@@ -33,7 +33,6 @@ class Scenario:
     drag: Union[IsotropicDrag, ResistiveForceDrag] = field(default_factory=IsotropicDrag)
     spin_up: float = 0.0
     length: float = 1.0
-    t_final: float = 25.0
 
 
 def _const(c: float) -> FieldFunc:

@@ -4,10 +4,14 @@ Everything here is written with naive loops and block-ordered unknowns
 (x, then interior bending moments, then interior curvatures, then spin,
 twist moment, twist, tension), solved with numpy's dense solver.  It shares
 no code with the package so index or sign slips in the vectorized assembly
-cannot cancel against themselves.
+cannot cancel against themselves.  The two band-storage helpers at the end
+only convert between a dense matrix and the package's BandedMatrix, for
+tests that build or read a band by hand.
 """
 
 import numpy as np
+
+from rodfem.linsolve import BandedMatrix
 
 
 # --- discrete geometry, loop versions -------------------------------------
@@ -371,3 +375,25 @@ def ref_step_2d(u, state, dt, t_new, A_v, B_v, drag_of_tau, kappa1_pref):
     for i in (0, n - 1):
         out["kappa"][i] = kappa1_pref(u[i], t_new) * nu[i]
     return out, (A, b, idx)
+
+
+# --- dense <-> band storage --------------------------------------------------
+
+def band_from_dense(a):
+    """The BandedMatrix of the square matrix a, with its narrowest band."""
+    a = np.asarray(a, dtype=float)
+    i, j = np.nonzero(a)
+    kl = int(max(np.max(i - j, initial=0), 0))
+    ku = int(max(np.max(j - i, initial=0), 0))
+    m = BandedMatrix(a.shape[0], kl, ku)
+    m.data[kl + ku + i - j, j] = a[i, j]
+    return m
+
+
+def dense_from_band(m):
+    """The dense matrix a BandedMatrix stores, read entry by entry."""
+    a = np.zeros((m.n, m.n))
+    for i in range(m.n):
+        for j in range(max(0, i - m.kl), min(m.n, i + m.ku + 1)):
+            a[i, j] = m.data[m.kl + m.ku + i - j, j]
+    return a

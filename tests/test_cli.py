@@ -233,5 +233,7 @@ def test_non_finite_horizon_or_spin_up_is_a_config_error(tmp_path, line, key,
     cfg = write_cfg(tmp_path, f"scenario.name = worm2d\n{line}\n")
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    assert "run: scenario." not in err  # scenario fields keep their section
     assert not out.exists()  # rejected before any step or output

@@ -20,6 +20,7 @@ from rodfem.diagnostics import (
     write_diagnostics,
     write_kymograph,
     write_snapshot,
+    write_table,
 )
 from rodfem.geometry import Mesh, element_tangents, uniform_mesh
 from rodfem.solver2d import RodState2D, embed_in_space
@@ -198,6 +199,14 @@ def test_snapshot_planar_embedding(tmp_path):
     # third coordinate zero, second director fixed to the plane normal
     assert float(rows[1][3]) == 0.0
     assert [float(v) for v in rows[1][7:10]] == [0.0, 0.0, 1.0]
+
+
+def test_table_cells_ints_none_and_floats(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["i", "x"], [np.arange(2), [None, 1.0 / 3.0]])
+    assert path.read_bytes() == b"i,x\r\n0,\r\n1,0.33333333333333331\r\n"
+    with pytest.raises(ValueError):
+        write_table(path, ["i", "x"], [[1, 2], [0.5]])
 
 
 def test_convergence_table_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rodfem.engine3d import SimConfig
 from rodfem.errors import ConfigError
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import (
@@ -24,7 +25,7 @@ def test_relaxation_preset_fields():
     np.testing.assert_allclose(
         evaluate_field(scn.twist_pref, u, 3.0), 5.0 * np.cos(2.0 * np.pi * u))
     assert scn.spin_up == 0.0
-    assert scn.t_final == 25.0
+    assert SimConfig(scn).t_final == 25.0
     assert isinstance(scn.drag, IsotropicDrag)
     np.testing.assert_allclose(scn.drag.matrix, np.eye(3))
     np.testing.assert_allclose(scn.material.bend_stiffness_at(u), 1.0)
