@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, SolverError
-from .geometry import FrozenGeometry, Mesh, frozen_geometry  # noqa: F401 (re-exported)
+from .geometry import FrozenGeometry, Mesh, cross, frozen_geometry  # noqa: F401 (re-exported)
 from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
 
@@ -379,7 +379,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     hs = mesh.h * geom.s
 
     kbar = 0.5 * (kappa[:-1] + kappa[1:])
-    tk = np.cross(tau, kbar)                                    # (ne,3)
+    tk = cross(tau, kbar)                                    # (ne,3)
 
     xo, mo = lay.x_off, lay.m_off
     zo, go = lay.z_off, lay.g_off
@@ -396,7 +396,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
     m.put(mo[:-1], zo, np.ones(ne))
     m.put(mo[1:], zo, -np.ones(ne))
-    b[mo] = -w * np.einsum("nd,nd->n", bend_moment, np.cross(ttau, kappa))
+    b[mo] = -w * np.einsum("nd,nd->n", bend_moment, cross(ttau, kappa))
 
     # -- twist constitutive law per element (twist-moment rows)
     C_e = ctx.twist_stiffness

@@ -10,7 +10,7 @@ rounding level, without any reprojection.
 import numpy as np
 
 from .errors import FrameTransportError
-from .geometry import FrozenGeometry
+from .geometry import FrozenGeometry, cross
 
 #: 1 + cos(angle between old/new tangent) below this is treated as antipodal
 ANTIPODAL_GUARD = 1e-8
@@ -19,7 +19,7 @@ ANTIPODAL_GUARD = 1e-8
 def _rotate_min(v, c, k):
     """Minimal rotation with cos = c and axis*sin = k applied to rows of v."""
     vk = np.einsum("id,id->i", v, k)
-    return v * c[:, None] + np.cross(k, v) + vk[:, None] * k / (1.0 + c)[:, None]
+    return v * c[:, None] + cross(k, v) + vk[:, None] * k / (1.0 + c)[:, None]
 
 
 def _rotate_axis(v, axis, phi):
@@ -27,7 +27,7 @@ def _rotate_axis(v, axis, phi):
     cphi = np.cos(phi)[:, None]
     sphi = np.sin(phi)[:, None]
     va = np.einsum("id,id->i", v, axis)[:, None]
-    return v * cphi + np.cross(axis, v) * sphi + va * axis * (1.0 - cphi)
+    return v * cphi + cross(axis, v) * sphi + va * axis * (1.0 - cphi)
 
 
 def transport_frame(e1, e2, ttau_old, ttau_new, phi):
@@ -45,7 +45,7 @@ def transport_frame(e1, e2, ttau_old, ttau_new, phi):
             f"tangent reversal at vertex {bad}: old and new vertex tangents "
             f"are antiparallel (cos = {c[bad]!r}); the step is too violent"
         )
-    k = np.cross(ttau_old, ttau_new)
+    k = cross(ttau_old, ttau_new)
     e1_mid = _rotate_min(e1, c, k)
     e2_mid = _rotate_min(e2, c, k)
     e1_new = _rotate_axis(e1_mid, ttau_new, phi)

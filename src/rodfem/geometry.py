@@ -169,6 +169,19 @@ def perp(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (n, 3) arrays, written out by component.
+
+    Each component is the same difference of two products that np.cross
+    forms, so the result is equal bit for bit, without its axis handling.
+    """
+    out = np.empty(a.shape)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
 def total_length(mesh: Mesh, x: np.ndarray) -> float:
     """Arc length of the polyline."""
     return float(np.linalg.norm(np.diff(x, axis=0), axis=1).sum())

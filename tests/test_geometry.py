@@ -10,6 +10,7 @@ from rodfem.errors import DegenerateGeometryError, InvalidMeshError
 from rodfem.geometry import (
     Mesh,
     averaged_tangent,
+    cross,
     element_tangents,
     element_twist,
     lumped_weights,
@@ -174,6 +175,16 @@ def test_uniformly_rotating_frame_has_expected_total_twist():
 def test_perp_rotates_by_quarter_turn():
     v = np.array([[1.0, 0.0], [0.3, -0.4]])
     np.testing.assert_allclose(perp(v), [[0.0, 1.0], [0.4, 0.3]])
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_cross_equals_numpy_cross_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    b = rng.normal(size=(n, 3))
+    got = cross(a, b)
+    assert got.shape == (n, 3)
+    assert np.array_equal(got, np.cross(a, b))
 
 
 # --- structural invariants --------------------------------------------------
