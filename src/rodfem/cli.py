@@ -378,7 +378,9 @@ def _refinement_study(args, table, level_row):
     rows, timings = [], {}
     for level in range(lo, hi + 1):
         dt, n = _level_params(level)
-        sim = build_sim_config(cfg, scenario, n_vertices=n, dt=dt)
+        # neither study writes snapshots, so no level keeps state copies
+        sim = build_sim_config(cfg, scenario, n_vertices=n, dt=dt,
+                               snapshot_stride=0)
         rows.append(level_row(sim, level, timings))
     _write_manifest(out_dir, args, cfg, {"table": table}, timings)
     return cfg, scenario, f"{lo}..{hi}", out_dir, rows

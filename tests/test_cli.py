@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from rodfem import cli
 from rodfem.cli import build_scenario, main, parse_config
 from rodfem.errors import ConfigError
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
+from rodfem.solver2d import run2d
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -217,6 +219,25 @@ def test_compare_table_columns_and_agreement(tmp_path):
                        "time_ratio"]
     assert float(rows[1][2]) < 1e-9
     assert float(rows[1][6]) > 0.0
+
+
+@pytest.mark.parametrize("command", ["converge", "compare2d3d"])
+def test_refinement_studies_keep_no_snapshots(tmp_path, monkeypatch, command):
+    # neither study writes snapshots, so a snapshot stride in the config
+    # must not make its levels keep state copies
+    kept = []
+
+    def counting_run2d(*args, **kwargs):
+        result = run2d(*args, **kwargs)
+        kept.append(len(result.snapshots))
+        return result
+
+    monkeypatch.setattr(cli, "run2d", counting_run2d)
+    cfg = write_cfg(tmp_path, "scenario.name = worm2d\nrun.dimension = 2\n"
+                    "run.t_final = 2\noutput.snapshot_stride = 1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--levels", "0..1"]) == 0
+    assert kept == [2, 2]
 
 
 @pytest.mark.parametrize("line,key", [
