@@ -2,16 +2,20 @@
 step system that the spatial and the planar model share.
 
 The spatial step solves simultaneously for position, bending moment,
-curvature, tangential spin rate, twist moment, twist density, and line
-tension.  All geometric coefficients (tangents, length elements, quadrature
-weights, drag matrices) are frozen at the previous step, which makes the
-system linear.  Unknowns are interleaved along the rod so the matrix is
-banded with a resolution-independent bandwidth.  The momentum balance, the
-bending law, the curvature identity and inextensibility are put once, by
-`_rod_rows`, for either dimension; the planar step (`solver2d`) is those
-rows alone, and the spatial step adds spin and twist to them.  Both models
-number their unknowns with one `DofLayout` and hold their per-run constants
-in one `StepContext`, each parameterised by the dimension.
+tangential spin rate, twist density, and line tension: 9 unknowns per
+vertex, 5 in the plane.  All geometric coefficients (tangents, length
+elements, quadrature weights, drag matrices) are frozen at the previous
+step, which makes the system linear.  The curvature and the twist moment
+are not unknowns of the solve: with the lumped weights the curvature
+identity is diagonal in the curvature and the twist law in the twist
+moment, so both are substituted into the other rows and recovered from the
+solution afterwards.  Unknowns are interleaved along the rod so the matrix
+is banded with a resolution-independent bandwidth.  The momentum balance,
+the bending law with the curvature substituted, and inextensibility are put
+once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
+those rows alone, and the spatial step adds spin and twist to them.  Both
+models number their unknowns with one `DofLayout` and hold their per-run
+constants in one `StepContext`, each parameterised by the dimension.
 """
 
 from dataclasses import dataclass, field
@@ -134,12 +138,13 @@ class _Triplets:
         return matrix
 
 
-def _solve_increment(matrix, b, c, x_slots, x, what, t_new, residual_tol):
-    """Solve one step system; returns the solution and its relative residual.
+def _solve_increment(matrix, b, c, what, t_new, residual_tol):
+    """Solve one step system; returns the increment and its relative residual.
 
     c = b - A·base is the right-hand side of the increment over base, which
-    holds the previous positions x in their slots x_slots.  b only
-    scales the residual |c - A·increment| / |b|.
+    holds the previous positions in their slots and zero elsewhere, so the
+    increment holds the position update and every other unknown itself.
+    b only scales the residual |c - A·increment| / |b|.
     """
     # solve for the position update, not the position: keeping O(1)
     # coordinates out of the unknowns keeps the length constraint satisfied
@@ -147,7 +152,6 @@ def _solve_increment(matrix, b, c, x_slots, x, what, t_new, residual_tol):
     # c is assembled from position differences because b - A·base in
     # float64 would round at the size of the coordinates.
     sol, r = solve(factorize(matrix), c)
-    sol[x_slots] += x
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(r) / (bnorm if bnorm > 0.0 else 1.0))
     if not res <= residual_tol:
@@ -158,11 +162,27 @@ def _solve_increment(matrix, b, c, x_slots, x, what, t_new, residual_tol):
     return sol, res
 
 
-def _moments(layout, sol):
-    """Bending moment and curvature (n, dim) of a solution, zero at the ends."""
-    out = np.zeros((2,) + layout.x_slots.shape)
-    out[:, 1:-1] = sol[layout.y_slots], sol[layout.k_slots]
-    return out
+def _decode_rod(ctx, geom, x, sol):
+    """New positions, bending moment and curvature (n, dim) of a solved step.
+
+    sol is the increment from `_solve_increment` of a step from positions x
+    with frozen geometry geom.  The curvature is the one the step
+    eliminated, the discrete curvature of the new positions under the
+    frozen coefficients, k_i = (a_r·(x_{i+1} - x_i) - a_l·(x_i - x_{i-1}))
+    / w_i; it is formed from the old differences plus the increment's, so
+    it rounds at the size of the differences, not of the coordinates.  The
+    end rows of both are zero; the caller prescribes the end curvatures.
+    """
+    lay = ctx.layout
+    inc = sol[lay.x_slots]
+    dx = (x[1:] - x[:-1]) + (inc[1:] - inc[:-1])
+    a = 1.0 / (ctx.mesh.h * geom.s)
+    y = np.zeros_like(x)
+    kappa = np.zeros_like(x)
+    y[1:-1] = sol[lay.y_slots]
+    kappa[1:-1] = (a[1:, None] * dx[1:]
+                   - a[:-1, None] * dx[:-1]) / geom.w[1:-1, None]
+    return x + inc, y, kappa
 
 
 @dataclass
@@ -170,31 +190,29 @@ class DofLayout:
     """Interleaved unknown numbering of one step, for dim = 2 or 3.
 
     Each vertex block holds position (dim slots), then — at interior
-    vertices only — bending moment (dim) and curvature (dim), then, in space
-    only, the spin rate (1).  Boundary bending moments vanish and boundary
-    curvatures are prescribed, so neither enters the system there.  Element
-    blocks sit between consecutive vertex blocks: twist moment, twist and
-    tension in space, the tension alone in the plane.  Rows are assigned to
-    the same slots as the unknown they balance, which keeps the band tight.
-    x_slots, y_slots and k_slots list the dim slots of each vertex's
-    position and of each interior vertex's bending moment and curvature;
-    m_off, z_off and g_off (spin, twist moment, twist) exist in space only.
-    A layout is made once per run and also holds the step matrix's band
-    pattern, recorded by the first assembly.
+    vertices only — bending moment (dim), then, in space only, the spin
+    rate (1).  Boundary bending moments vanish, so they do not enter the
+    system.  Element blocks sit between consecutive vertex blocks: twist
+    and tension in space, the tension alone in the plane.  That is a stride
+    of 9 slots in space and 5 in the plane, and 9n - 8 or 5n - 5 unknowns
+    for n vertices; curvature and twist moment are eliminated from the
+    step (see `_rod_rows`, `assemble_step`).  Rows are assigned to the same
+    slots as the unknown they balance, which keeps the band tight.  x_slots
+    and y_slots list the dim slots of each vertex's position and of each
+    interior vertex's bending moment; m_off and g_off (spin, twist) exist
+    in space only.  A layout is made once per run and also holds the step
+    matrix's band pattern, recorded by the first assembly.
     """
 
     n_vertices: int
     dim: int
     x_off: np.ndarray = field(init=False, repr=False)
     y_off: np.ndarray = field(init=False, repr=False)
-    k_off: np.ndarray = field(init=False, repr=False)
     p_off: np.ndarray = field(init=False, repr=False)
     m_off: np.ndarray = field(init=False, default=None, repr=False)
-    z_off: np.ndarray = field(init=False, default=None, repr=False)
     g_off: np.ndarray = field(init=False, default=None, repr=False)
     x_slots: np.ndarray = field(init=False, repr=False)   # (n, dim)
     y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
-    k_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
     ndof: int = field(init=False)
     pattern: BandPattern = field(init=False, default=None, repr=False)
 
@@ -203,30 +221,25 @@ class DofLayout:
         if n < 3:
             raise AssemblyError(f"need at least 3 vertices, got {n}")
         spin = 1 if dim == 3 else 0             # spin slots per vertex
-        per_element = 3 if dim == 3 else 1
-        stride = 3 * dim + spin + per_element
-        # the boundary vertex 0 has no bending-moment or curvature slots
-        x_off = stride * np.arange(n, dtype=np.int64) - 2 * dim
+        per_element = 2 if dim == 3 else 1
+        stride = 2 * dim + spin + per_element
+        # the boundary vertex 0 has no bending-moment slots
+        x_off = stride * np.arange(n, dtype=np.int64) - dim
         x_off[0] = 0
         y_off = np.full(n, -1, dtype=np.int64)
-        k_off = np.full(n, -1, dtype=np.int64)
         y_off[1:-1] = x_off[1:-1] + dim
-        k_off[1:-1] = x_off[1:-1] + 2 * dim
         element = stride * np.arange(n - 1, dtype=np.int64) + dim + spin
         if spin:
-            self.m_off = x_off + 3 * dim
+            self.m_off = x_off + 2 * dim
             self.m_off[[0, -1]] = x_off[[0, -1]] + dim
-            self.z_off = element
-            self.g_off = element + 1
+            self.g_off = element
         self.x_off = x_off
         self.y_off = y_off
-        self.k_off = k_off
         self.p_off = element + per_element - 1  # last slot: tension
         d = np.arange(dim)
         self.x_slots = x_off[:, None] + d
         self.y_slots = y_off[1:-1, None] + d
-        self.k_slots = k_off[1:-1, None] + d
-        self.ndof = stride * (n - 1) - dim + spin
+        self.ndof = stride * (n - 1) + spin
 
 
 @dataclass
@@ -259,7 +272,13 @@ class StepContext:
 
 @dataclass
 class StepResult3D:
-    """Decoded unknowns of one step, with prescribed end curvatures attached."""
+    """Decoded fields of one step, with prescribed end curvatures attached.
+
+    kappa and twist_moment are not unknowns of the step system: the decode
+    recovers them from the solved positions and twist, through the
+    curvature identity and the twist law with the step's frozen
+    coefficients.
+    """
 
     x: np.ndarray             # positions (n, 3)
     bend_moment: np.ndarray   # (n, 3), zero at the ends
@@ -286,11 +305,16 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     """Put the rows both models share; fills b and returns c = b - A·base.
 
     These are the momentum balance with the tension and the bending force,
-    the bending law, the curvature identity and inextensibility, in the
-    ctx.dim components of x.  A_pref is the bending stiffness times the
-    preferred curvature at the interior vertices, and gyro the spin term of
-    the bending law's curvature block (0.0 without spin).  Rows put by the
-    caller keep b in c.
+    the bending law and inextensibility, in the ctx.dim components of x.
+    The bending law w_i·y_i + w_i·kmat_i·k_i = b_i holds the new curvature
+    k_i, which the curvature identity fixes as
+    w_i·k_i = a_r·(x_{i+1} - x_i) - a_l·(x_i - x_{i-1}), with
+    a = 1 / (h·s) of the adjacent elements; that identity is diagonal in
+    k_i, so the bending law is put with kmat_i times the three position
+    coefficients in place of the curvature, and `_decode_rod` recovers it.
+    A_pref is the bending stiffness times the preferred curvature at the
+    interior vertices, and gyro the spin term of kmat (0.0 without spin).
+    Rows put by the caller keep b in c.
     """
     mesh, layout = ctx.mesh, ctx.layout
     n = mesh.n_vertices
@@ -302,7 +326,7 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     K = ctx.scenario.drag.element_matrices(tau)                 # (ne,d,d)
     P = eye[None] - tau[:, :, None] * tau[:, None, :]           # (ne,d,d)
 
-    xo, yo, ko, po = layout.x_off, layout.y_off, layout.k_off, layout.p_off
+    xo, yo, po = layout.x_off, layout.y_off, layout.p_off
     ii = slice(1, n - 1)        # interior vertices
     A_i = ctx.bend_stiffness[ii]
     B_i = ctx.bend_viscosity[ii]
@@ -328,7 +352,8 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     m.put_blocks(xo[ii], yo[ii], -coefP[1:])
     m.put_blocks(xo[2:], yo[ii], coefP[1:])
 
-    # -- bending constitutive law at interior vertices (bending-moment rows)
+    # -- bending law at interior vertices (bending-moment rows), with the
+    # curvature given by the positions
     ti = ttau[ii]
     Pt = eye[None] - ti[:, :, None] * ti[:, None, :]
     kmat = (
@@ -336,20 +361,16 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
         - (B_i / dt)[:, None, None] * Pt
         + gyro
     )
+    a_l = 1.0 / hs[:-1]
+    a_r = 1.0 / hs[1:]
     m.put_diag(yo[ii], yo[ii], w[ii])
-    m.put_blocks(yo[ii], ko[ii], w[ii][:, None, None] * kmat)
+    m.put_blocks(yo[ii], xo[:-2], a_l[:, None, None] * kmat)
+    m.put_blocks(yo[ii], xo[ii], -(a_l + a_r)[:, None, None] * kmat)
+    m.put_blocks(yo[ii], xo[2:], a_r[:, None, None] * kmat)
     b[layout.y_slots] = w[ii][:, None] * (
         -A_pref
         - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
     )
-
-    # -- curvature identity at interior vertices (curvature rows; zero rhs)
-    a_l = 1.0 / hs[:-1]
-    a_r = 1.0 / hs[1:]
-    m.put_diag(ko[ii], ko[ii], w[ii])
-    m.put_diag(ko[ii], xo[ii], a_l + a_r)
-    m.put_diag(ko[ii], xo[:-2], -a_l)
-    m.put_diag(ko[ii], xo[2:], -a_r)
 
     # -- inextensibility per element (tension rows)
     m.put_vec_cols(po, xo[1:], tau)
@@ -359,9 +380,23 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     # -- c row by row: rows without a position column keep b
     c = b.copy()
     c[layout.x_slots] = 0.0
-    c[layout.k_slots] = a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1]
+    c[layout.y_slots] -= np.einsum(
+        "nij,nj->ni", kmat, a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1])
     c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
     return c
+
+
+def _twist_law(ctx, dt, t_new, twist):
+    """(zc, z0) of the twist law, whose twist moment is zc·g + z0 per element.
+
+    The twist law hs·z = hs·((C + D/dt)·g - C·gamma0 - (D/dt)·twist) is
+    diagonal in the twist moment z, so the step substitutes it into the
+    rows that hold z and the decode recovers z from the solved twist g.
+    """
+    C_e = ctx.twist_stiffness
+    D_e = ctx.twist_viscosity
+    gamma0 = evaluate_field(ctx.scenario.twist_pref, ctx.mesh.midpoints, t_new)
+    return C_e + D_e / dt, -C_e * gamma0 - (D_e / dt) * twist
 
 
 def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
@@ -370,7 +405,9 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 
     All state arguments are the previous step's fields; rest_density is the
     per-element length density the constraint rows pin the new positions to.
-    base holds x in the position slots and zero elsewhere.
+    base holds x in the position slots and zero elsewhere.  The twist moment
+    z = zc·g + z0 of `_twist_law` is substituted into the momentum and spin
+    rows: its columns become zc times the twist's, and z0 moves into b and c.
     """
     mesh = ctx.mesh
     lay = ctx.layout
@@ -379,32 +416,29 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     hs = mesh.h * geom.s
 
     kbar = 0.5 * (kappa[:-1] + kappa[1:])
-    tk = cross(tau, kbar)                                    # (ne,3)
+    tk = cross(tau, kbar)                                       # (ne,3)
+    zc, z0 = _twist_law(ctx, dt, t_new, twist)
 
-    xo, mo = lay.x_off, lay.m_off
-    zo, go = lay.z_off, lay.g_off
+    xo, mo, go = lay.x_off, lay.m_off, lay.g_off
     ii = slice(1, n - 1)        # interior vertices
     b = np.zeros(lay.ndof)
 
     m = _Triplets(lay)
 
-    # -- twist-moment forces of element e on its two end vertices
-    m.put_vec_rows(xo[:-1], zo, tk)
-    m.put_vec_rows(xo[1:], zo, -tk)
+    # -- twist-moment forces of element e on its two end vertices; the
+    # force of z0 is tz0 on the left vertex and -tz0 on the right
+    tzc = tk * zc[:, None]
+    tz0 = tk * z0[:, None]
+    m.put_vec_rows(xo[:-1], go, tzc)
+    m.put_vec_rows(xo[1:], go, -tzc)
 
     # -- tangential angular momentum at every vertex (spin rows)
     m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
-    m.put(mo[:-1], zo, np.ones(ne))
-    m.put(mo[1:], zo, -np.ones(ne))
+    m.put(mo[:-1], go, zc)
+    m.put(mo[1:], go, -zc)
     b[mo] = -w * np.einsum("nd,nd->n", bend_moment, cross(ttau, kappa))
-
-    # -- twist constitutive law per element (twist-moment rows)
-    C_e = ctx.twist_stiffness
-    D_e = ctx.twist_viscosity
-    gamma0 = evaluate_field(ctx.scenario.twist_pref, mesh.midpoints, t_new)
-    m.put(zo, zo, hs)
-    m.put(zo, go, -hs * (C_e + D_e / dt))
-    b[zo] = hs * (-C_e * gamma0 - (D_e / dt) * twist)
+    b[mo[:-1]] -= z0
+    b[mo[1:]] += z0
 
     # -- twist transport per element (twist rows)
     m.put(go, go, hs / dt)
@@ -425,6 +459,12 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
                   A_i[:, None] * pref,
                   (B_i * spin[ii])[:, None, None] * _cross_matrices(ttau[ii]))
     c[go] = twist_rate
+    # the forces of z0 are all there is of c in the momentum rows
+    f0 = np.zeros((n, 3))
+    f0[:-1] -= tz0
+    f0[1:] += tz0
+    b[lay.x_slots] += f0
+    c[lay.x_slots] = f0
     return m.banded(b, "step"), b, c
 
 
@@ -436,23 +476,23 @@ def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
         rest_density,
     )
     lay = ctx.layout
-    sol, res = _solve_increment(matrix, b, c, lay.x_slots, x, "step", t_new,
-                                residual_tol)
+    sol, res = _solve_increment(matrix, b, c, "step", t_new, residual_tol)
 
-    x_new = sol[lay.x_slots]
-    y_new, k_new = _moments(lay, sol)
+    x_new, y_new, k_new = _decode_rod(ctx, geom, x, sol)
     # prescribed end curvature, in the directors the step was built with
     ub = ctx.mesh.u[[0, -1]]
     ab = evaluate_field(ctx.scenario.kappa1_pref, ub, t_new)
     bb = evaluate_field(ctx.scenario.kappa2_pref, ub, t_new)
     k_new[[0, -1]] = ab[:, None] * e1[[0, -1]] + bb[:, None] * e2[[0, -1]]
+    g_new = sol[lay.g_off]
+    zc, z0 = _twist_law(ctx, dt, t_new, twist)
     return StepResult3D(
         x=x_new,
         bend_moment=y_new,
         kappa=k_new,
         spin=sol[lay.m_off],
-        twist_moment=sol[lay.z_off],
-        twist=sol[lay.g_off],
+        twist_moment=zc * g_new + z0,
+        twist=g_new,
         tension=sol[lay.p_off],
         residual=res,
     )

@@ -3,7 +3,8 @@
 The planar scheme carries no director pair: the unit normal is the rotated
 averaged tangent, recomputed from geometry each step, so frame bookkeeping
 (and its error) vanishes identically.  Unknowns per step are position,
-bending moment, curvature, and tension; twist and spin do not exist.
+bending moment and tension, 5 per vertex; the curvature is eliminated as in
+space, and twist and spin do not exist.
 
 This module holds the preferred curvature the planar step bends toward and
 the decode of its solution.  The unknown layout and the per-run constants
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly3d import (StepContext, _moments, _rod_rows, _solve_increment,
-                         _Triplets)
+from .assembly3d import (StepContext, _decode_rod, _rod_rows,
+                         _solve_increment, _Triplets)
 from .diagnostics import elastic_energy
 from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
                        _spin_up)
@@ -74,13 +75,12 @@ def solve_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density,
     """One implicit planar step; `geom` is the frozen geometry of x."""
     matrix, b, c = assemble_step_2d(ctx, geom, dt, t_new, x, kappa,
                                     rest_density)
-    lay = ctx.layout
-    sol, res = _solve_increment(matrix, b, c, lay.x_slots, x, "planar step",
-                                t_new, residual_tol)
-    y_new, k_new = _moments(lay, sol)
+    sol, res = _solve_increment(matrix, b, c, "planar step", t_new,
+                                residual_tol)
+    x_new, y_new, k_new = _decode_rod(ctx, geom, x, sol)
     ab = evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u[[0, -1]], t_new)
     k_new[[0, -1]] = ab[:, None] * perp(geom.ttau[[0, -1]])
-    return sol[lay.x_slots], y_new, k_new, sol[lay.p_off], res
+    return x_new, y_new, k_new, sol[ctx.layout.p_off], res
 
 
 def _planar_model(config, mesh):

@@ -25,8 +25,9 @@ from rodfem.geometry import (
 )
 from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
-from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
-from rodfem.solver2d import assemble_step_2d
+from rodfem.scenarios import (Scenario, builtin_scenario, compile_expr,
+                              evaluate_field)
+from rodfem.solver2d import assemble_step_2d, solve_step_2d
 
 from reference_dense import dense_from_band, ref_step_3d
 
@@ -94,25 +95,26 @@ def run_both(mesh, state, scenario, dt, t_new):
 
 
 def test_unknown_layout_is_a_tight_permutation():
-    # 13 unknowns per vertex and element in space, 7 in the plane; the end
-    # vertices have no bending-moment or curvature slots
-    for dim, stride, missing in ((3, 13, 15), (2, 7, 9)):
+    # 9 unknowns per vertex and element in space, 5 in the plane; the end
+    # vertices have no bending-moment slots, and curvature and twist moment
+    # have none at all: the step eliminates them
+    for dim, stride, missing in ((3, 9, 8), (2, 5, 5)):
         for n in (3, 4, 9, 16):
             lay = DofLayout(n, dim)
             assert lay.ndof == stride * n - missing
-            assert list(lay.x_off) == [0] + [stride * i - 2 * dim
+            assert list(lay.x_off) == [0] + [stride * i - dim
                                              for i in range(1, n)]
             slots = [lay.x_off[i] + d for i in range(n) for d in range(dim)]
             slots += [lay.y_off[i] + d for i in range(1, n - 1)
                       for d in range(dim)]
-            slots += [lay.k_off[i] + d for i in range(1, n - 1)
-                      for d in range(dim)]
             slots += list(lay.p_off)
             if dim == 3:
-                slots += list(lay.m_off) + list(lay.z_off) + list(lay.g_off)
+                slots += list(lay.m_off) + list(lay.g_off)
             else:
-                assert lay.m_off is lay.z_off is lay.g_off is None
+                assert lay.m_off is lay.g_off is None
             assert sorted(slots) == list(range(lay.ndof))
+            assert not any(hasattr(lay, name)
+                           for name in ("k_off", "k_slots", "z_off"))
 
 
 def test_layout_rejects_tiny_rods():
@@ -180,19 +182,16 @@ def test_step_is_translation_equivariant():
     np.testing.assert_allclose(got2.kappa, got.kappa, atol=1e-10)
 
 
-def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
-    """(matrix, b, c, position slots, previous positions, context) of one
-    bent step.  owner is the StepContext the assembler takes, fresh when
-    None."""
+def step_case(model, n=8, seed=4, scale=0.15, owner=None):
+    """(context, frozen geometry, remaining step arguments) of one bent step
+    of either model.  owner is the StepContext to use, fresh when None."""
     dt, t_new = 1.0 / 16.0, 0.25
     if model == "spatial":
         mesh, st = bent_test_state(n, seed=seed, scale=scale)
         ctx = owner or StepContext(mesh, builtin_scenario("worm3d"), 3)
-        matrix, b, c = assemble_step(
-            ctx, frozen_geometry(mesh, st["x"]), dt, t_new, st["x"], st["e1"],
-            st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
-        )
-        return matrix, b, c, ctx.layout.x_slots, st["x"], ctx
+        return ctx, frozen_geometry(mesh, st["x"]), (
+            dt, t_new, st["x"], st["e1"], st["e2"], st["kappa"], st["gamma"],
+            st["y"], st["m"], st["s0"])
     rng = np.random.default_rng(seed)
     mesh = uniform_mesh(n)
     x = np.column_stack([
@@ -202,11 +201,17 @@ def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     _, s = element_tangents(mesh, x)
     kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(n, 2))
     ctx = owner or StepContext(mesh, builtin_scenario("worm2d"), 2)
-    matrix, b, c = assemble_step_2d(
-        ctx, frozen_geometry(mesh, x), dt, t_new, x, kappa,
-        s * (1.0 + 0.05 * rng.uniform(size=n - 1)),
-    )
-    return matrix, b, c, ctx.layout.x_slots, x, ctx
+    return ctx, frozen_geometry(mesh, x), (
+        dt, t_new, x, kappa, s * (1.0 + 0.05 * rng.uniform(size=n - 1)))
+
+
+def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
+    """(matrix, b, c, position slots, previous positions, context) of one
+    bent step; see `step_case`."""
+    ctx, geom, args = step_case(model, n, seed, scale, owner)
+    assemble = assemble_step if model == "spatial" else assemble_step_2d
+    matrix, b, c = assemble(ctx, geom, *args)
+    return matrix, b, c, ctx.layout.x_slots, args[2], ctx
 
 
 @pytest.mark.parametrize("model", ["spatial", "planar"])
@@ -248,3 +253,37 @@ def test_assembly_with_another_runs_pattern_is_rejected():
             ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, st["x"], st["e1"],
             st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
         )
+
+
+@pytest.mark.parametrize("model", ["spatial", "planar"])
+def test_decoded_curvature_is_the_curvature_of_the_solved_positions(model):
+    # the step eliminates the curvature; its decode must satisfy the
+    # curvature identity w_i·k_i = a_r·(x_{i+1} - x_i) - a_l·(x_i - x_{i-1})
+    # of the solved positions, with the step's frozen coefficients
+    ctx, geom, args = step_case(model)
+    if model == "spatial":
+        res = solve_step(ctx, geom, *args)
+        x_new, kappa = res.x, res.kappa
+    else:
+        x_new, _, kappa, _, _ = solve_step_2d(ctx, geom, *args)
+    hs = ctx.mesh.h * geom.s
+    dx = np.diff(x_new, axis=0)
+    want = (dx[1:] / hs[1:, None] - dx[:-1] / hs[:-1, None]) / geom.w[1:-1, None]
+    assert np.abs(want).max() > 1e-2
+    assert np.abs(kappa[1:-1] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_decoded_twist_moment_satisfies_the_twist_law():
+    # the step eliminates the twist moment; its decode must satisfy
+    # z = (C + D/dt)·twist - C·gamma0 - (D/dt)·twist_old per element
+    ctx, geom, args = step_case("spatial")
+    dt, t_new, twist_old = args[0], args[1], args[6]
+    res = solve_step(ctx, geom, *args)
+    C, D = ctx.twist_stiffness, ctx.twist_viscosity
+    gamma0 = evaluate_field(ctx.scenario.twist_pref, ctx.mesh.midpoints, t_new)
+    terms = [res.twist_moment, (C + D / dt) * res.twist, C * gamma0,
+             (D / dt) * twist_old]
+    defect = terms[0] - terms[1] + terms[2] + terms[3]
+    scale = max(np.abs(t).max() for t in terms)
+    assert np.abs(res.twist_moment).max() > 1e-3 * scale
+    assert np.abs(defect).max() <= 1e-13 * scale

@@ -22,8 +22,9 @@ from reference_dense import ref_step_2d
 
 
 def test_planar_layout_sizes():
-    assert DofLayout(16, 2).ndof == 103
-    assert DofLayout(7, 2).ndof == 40
+    # 5n - 5: position, bending moment and tension, no curvature slots
+    assert DofLayout(16, 2).ndof == 75
+    assert DofLayout(7, 2).ndof == 30
 
 
 def test_planar_layout_is_a_permutation():
@@ -34,10 +35,10 @@ def test_planar_layout_is_a_permutation():
         slots.extend(lay.x_off[i] + d for d in range(2))
     for i in range(1, n - 1):
         slots.extend(lay.y_off[i] + d for d in range(2))
-        slots.extend(lay.k_off[i] + d for d in range(2))
     for e in range(n - 1):
         slots.append(lay.p_off[e])
     assert sorted(slots) == list(range(lay.ndof))
+    assert not hasattr(lay, "k_off") and not hasattr(lay, "k_slots")
 
 
 def test_initial_planar_state():
