@@ -242,11 +242,24 @@ class DofLayout:
         self.ndof = stride * (n - 1) + spin
 
 
+def _read_only(a):
+    # a view, so an array the field function still owns stays writeable
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 @dataclass
 class StepContext:
     """Per-run constants of one rod model: mesh, layout and sampled
-    material fields.  Only a spatial (dim = 3) context samples the twist
-    fields; the planar model has no twist, so it accepts any twist profile.
+    material fields, plus the scenario's drive at the latest step time.
+    Only a spatial (dim = 3) context samples the twist fields; the planar
+    model has no twist, so it accepts any twist profile.
+
+    `drive(t)` is the one place the preferred fields are evaluated: the
+    assembly, the prescribed end curvatures and the energy of a step all
+    happen at one time, so the context keeps the fields of the last time
+    asked for and evaluates each once per step time.
     """
 
     mesh: Mesh
@@ -259,6 +272,8 @@ class StepContext:
                                         repr=False)               # midpoints
     twist_viscosity: np.ndarray = field(init=False, default=None,
                                         repr=False)               # midpoints
+    _drive_t: float = field(init=False, default=None, repr=False)
+    _drive: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         mat = self.scenario.material
@@ -268,6 +283,26 @@ class StepContext:
         if self.dim == 3:
             self.twist_stiffness = mat.twist_stiffness_at(self.mesh.midpoints)
             self.twist_viscosity = mat.twist_viscosity_at(self.mesh.midpoints)
+
+    def drive(self, t):
+        """(alpha, beta, gamma0) at time t, as read-only arrays.
+
+        alpha and beta are the preferred curvature components at the
+        vertices, gamma0 the preferred twist at the element midpoints.  A
+        planar context evaluates alpha only and returns None for the other
+        two.  The fields of the last t are kept and returned again.
+        """
+        t = float(t)
+        if t != self._drive_t:
+            scn, u = self.scenario, self.mesh.u
+            beta = gamma0 = None
+            alpha = _read_only(evaluate_field(scn.kappa1_pref, u, t))
+            if self.dim == 3:
+                beta = _read_only(evaluate_field(scn.kappa2_pref, u, t))
+                gamma0 = _read_only(evaluate_field(
+                    scn.twist_pref, self.mesh.midpoints, t))
+            self._drive_t, self._drive = t, (alpha, beta, gamma0)
+        return self._drive
 
 
 @dataclass
@@ -345,11 +380,10 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
 
     # transverse bending force, projected difference of the bending moment
     coefP = P / hs[:, None, None]
-    # elements whose right vertex is interior (coefP[:-1]), then those
-    # whose left vertex is interior (coefP[1:])
+    # from the elements left (coefP[:-1]) and right (coefP[1:]) of each
+    # interior vertex; the diagonal block is put once, as one sum
     m.put_blocks(xo[:-2], yo[ii], coefP[:-1])
-    m.put_blocks(xo[ii], yo[ii], -coefP[:-1])
-    m.put_blocks(xo[ii], yo[ii], -coefP[1:])
+    m.put_blocks(xo[ii], yo[ii], -(coefP[:-1] + coefP[1:]))
     m.put_blocks(xo[2:], yo[ii], coefP[1:])
 
     # -- bending law at interior vertices (bending-moment rows), with the
@@ -395,19 +429,20 @@ def _twist_law(ctx, dt, t_new, twist):
     """
     C_e = ctx.twist_stiffness
     D_e = ctx.twist_viscosity
-    gamma0 = evaluate_field(ctx.scenario.twist_pref, ctx.mesh.midpoints, t_new)
+    gamma0 = ctx.drive(t_new)[2]
     return C_e + D_e / dt, -C_e * gamma0 - (D_e / dt) * twist
 
 
 def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
-                  bend_moment, spin, rest_density):
+                  bend_moment, spin, rest_density, zc, z0):
     """Step matrix A, right-hand side b, and c = b - A·base for one step.
 
     All state arguments are the previous step's fields; rest_density is the
     per-element length density the constraint rows pin the new positions to.
     base holds x in the position slots and zero elsewhere.  The twist moment
-    z = zc·g + z0 of `_twist_law` is substituted into the momentum and spin
-    rows: its columns become zc times the twist's, and z0 moves into b and c.
+    z = zc·g + z0 of the step's `_twist_law` is substituted into the
+    momentum and spin rows: its columns become zc times the twist's, and z0
+    moves into b and c.
     """
     mesh = ctx.mesh
     lay = ctx.layout
@@ -417,7 +452,6 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 
     kbar = 0.5 * (kappa[:-1] + kappa[1:])
     tk = cross(tau, kbar)                                       # (ne,3)
-    zc, z0 = _twist_law(ctx, dt, t_new, twist)
 
     xo, mo, go = lay.x_off, lay.m_off, lay.g_off
     ii = slice(1, n - 1)        # interior vertices
@@ -452,8 +486,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     # -- the rows the planar model shares, bent toward alpha e1 + beta e2
     A_i = ctx.bend_stiffness[ii]
     B_i = ctx.bend_viscosity[ii]
-    alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, t_new)
-    beta = evaluate_field(ctx.scenario.kappa2_pref, mesh.u, t_new)
+    alpha, beta, _ = ctx.drive(t_new)
     pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
     c = _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density,
                   A_i[:, None] * pref,
@@ -471,21 +504,21 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
 def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
                spin, rest_density, residual_tol=1e-10) -> StepResult3D:
     """Assemble, factor, and solve one step; decode the solution fields."""
+    zc, z0 = _twist_law(ctx, dt, t_new, twist)
     matrix, b, c = assemble_step(
         ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment, spin,
-        rest_density,
+        rest_density, zc, z0,
     )
     lay = ctx.layout
     sol, res = _solve_increment(matrix, b, c, "step", t_new, residual_tol)
 
     x_new, y_new, k_new = _decode_rod(ctx, geom, x, sol)
     # prescribed end curvature, in the directors the step was built with
-    ub = ctx.mesh.u[[0, -1]]
-    ab = evaluate_field(ctx.scenario.kappa1_pref, ub, t_new)
-    bb = evaluate_field(ctx.scenario.kappa2_pref, ub, t_new)
-    k_new[[0, -1]] = ab[:, None] * e1[[0, -1]] + bb[:, None] * e2[[0, -1]]
+    alpha, beta, _ = ctx.drive(t_new)
+    ends = [0, -1]
+    k_new[ends] = (alpha[ends, None] * e1[ends]
+                   + beta[ends, None] * e2[ends])
     g_new = sol[lay.g_off]
-    zc, z0 = _twist_law(ctx, dt, t_new, twist)
     return StepResult3D(
         x=x_new,
         bend_moment=y_new,

@@ -25,7 +25,7 @@ from .frame import frame_error, transport_frame
 from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
                        uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
-from .scenarios import Scenario, evaluate_field
+from .scenarios import Scenario
 
 
 @dataclass
@@ -303,9 +303,7 @@ def run(config: SimConfig, state: RodState3D = None,
         return new, gnew, res.residual
 
     def measure(st, gm):
-        alpha = evaluate_field(scn.kappa1_pref, mesh.u, st.t)
-        beta = evaluate_field(scn.kappa2_pref, mesh.u, st.t)
-        gamma0 = evaluate_field(scn.twist_pref, mesh.midpoints, st.t)
+        alpha, beta, gamma0 = ctx.drive(st.t)
         kpref = alpha[:, None] * st.e1 + beta[:, None] * st.e2
         energy = elastic_energy(
             gm.w, ctx.bend_stiffness, st.kappa, kpref,

@@ -2,10 +2,12 @@
 
 The step systems produced by the assemblers have O(1) bandwidth when unknowns
 are interleaved along the rod, so an LU factorization with partial pivoting in
-LAPACK band storage solves them in O(n) time.  Every solve gets one round of
-iterative refinement (restoring row-wise backward stability), plus a second
-round when the relative residual still exceeds REFINE_TOL, and returns its
-residual vector too; band products are float64 BLAS calls (dgbmv).
+LAPACK band storage solves them in O(n) time.  Every solve gets exactly one
+round of iterative refinement in working precision, which makes it
+componentwise backward stable (Skeel, "Iterative refinement implies
+numerical stability for Gaussian elimination", Math. Comp. 35, 1980), and
+returns its residual vector too; band products are float64 BLAS calls
+(dgbmv).
 
 Bands are stored Fortran-ordered, the layout LAPACK and BLAS read, so the
 factorization copies a contiguous block and a product copies nothing; entry
@@ -19,9 +21,6 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import AssemblyError, SingularMatrixError, SolverError
-
-#: refinement trigger for the raw back-substitution residual
-REFINE_TOL = 1e-12
 
 
 class BandedMatrix:
@@ -112,21 +111,16 @@ def factorize(m: BandedMatrix) -> BandedLU:
 
 
 def solve(lu: BandedLU, b):
-    """Back-solve with iterative refinement; returns (x, b - A x).
+    """Back-solve with one round of iterative refinement; returns (x, b - A x).
 
-    One round always runs: partial pivoting bounds the norm-wise residual
-    but not the residual of an individual row, and refinement restores
-    row-wise backward stability at the cost of one product and one extra
-    back-solve.  A second round covers the rare ill-scaled system whose
-    refined residual is still above the trigger; only then is a third
-    product taken, for the residual that is returned.
+    Partial pivoting bounds the norm-wise residual but not the residual of
+    an individual row.  One refinement round in working precision restores
+    componentwise backward stability (Skeel 1980), at the cost of one
+    product and one extra back-solve; a second product gives the residual
+    that is returned.  Further rounds cannot lower that residual below its
+    rounding floor, so none are taken.
     """
     b = np.asarray(b, dtype=float)
     x = lu.backsolve(b)
-    bnorm = np.linalg.norm(b)
     x = x + lu.backsolve(b - lu.matrix.matvec(x))
-    r = b - lu.matrix.matvec(x)
-    if np.linalg.norm(r) > REFINE_TOL * (bnorm if bnorm > 0.0 else 1.0):
-        x = x + lu.backsolve(r)
-        r = b - lu.matrix.matvec(x)
-    return x, r
+    return x, b - lu.matrix.matvec(x)

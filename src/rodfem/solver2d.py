@@ -24,7 +24,6 @@ from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
                        _spin_up)
 from .geometry import (Mesh, element_tangents, frozen_geometry, perp,
                        uniform_mesh, vertex_curvature)
-from .scenarios import evaluate_field
 
 
 @dataclass
@@ -62,7 +61,7 @@ def assemble_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density):
     mesh = ctx.mesh
     ii = slice(1, mesh.n_vertices - 1)      # interior vertices
     A_i = ctx.bend_stiffness[ii]
-    alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, t_new)
+    alpha = ctx.drive(t_new)[0]
     b = np.zeros(ctx.layout.ndof)
     m = _Triplets(ctx.layout)
     c = _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density,
@@ -78,8 +77,8 @@ def solve_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density,
     sol, res = _solve_increment(matrix, b, c, "planar step", t_new,
                                 residual_tol)
     x_new, y_new, k_new = _decode_rod(ctx, geom, x, sol)
-    ab = evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u[[0, -1]], t_new)
-    k_new[[0, -1]] = ab[:, None] * perp(geom.ttau[[0, -1]])
+    ends = [0, -1]
+    k_new[ends] = ctx.drive(t_new)[0][ends, None] * perp(geom.ttau[ends])
     return x_new, y_new, k_new, sol[ctx.layout.p_off], res
 
 
@@ -96,7 +95,7 @@ def _planar_model(config, mesh):
         return new, frozen_geometry(mesh, x), res
 
     def measure(st, gm):
-        alpha = evaluate_field(ctx.scenario.kappa1_pref, mesh.u, st.t)
+        alpha = ctx.drive(st.t)[0]
         energy = elastic_energy(gm.w, ctx.bend_stiffness, st.kappa,
                                 alpha[:, None] * perp(gm.ttau))
         return energy, 0.0

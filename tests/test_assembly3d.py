@@ -11,6 +11,7 @@ import pytest
 from rodfem.assembly3d import (
     DofLayout,
     StepContext,
+    _twist_law,
     assemble_step,
     frozen_geometry,
     solve_step,
@@ -209,8 +210,12 @@ def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     """(matrix, b, c, position slots, previous positions, context) of one
     bent step; see `step_case`."""
     ctx, geom, args = step_case(model, n, seed, scale, owner)
-    assemble = assemble_step if model == "spatial" else assemble_step_2d
-    matrix, b, c = assemble(ctx, geom, *args)
+    if model == "spatial":
+        dt, t_new, twist = args[0], args[1], args[6]
+        matrix, b, c = assemble_step(ctx, geom, *args,
+                                     *_twist_law(ctx, dt, t_new, twist))
+    else:
+        matrix, b, c = assemble_step_2d(ctx, geom, *args)
     return matrix, b, c, ctx.layout.x_slots, args[2], ctx
 
 
@@ -252,6 +257,7 @@ def test_assembly_with_another_runs_pattern_is_rejected():
         assemble_step(
             ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, st["x"], st["e1"],
             st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
+            *_twist_law(ctx, 0.1, 0.1, st["gamma"]),
         )
 
 
@@ -287,3 +293,27 @@ def test_decoded_twist_moment_satisfies_the_twist_law():
     scale = max(np.abs(t).max() for t in terms)
     assert np.abs(res.twist_moment).max() > 1e-3 * scale
     assert np.abs(defect).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("model", ["spatial", "planar"])
+def test_drive_is_read_only_and_kept_for_its_time(model):
+    ctx, *_ = step_case(model)
+    alpha, beta, gamma0 = ctx.drive(0.25)
+    assert ctx.drive(0.25)[0] is alpha
+    fields = [alpha, beta, gamma0] if model == "spatial" else [alpha]
+    for f in fields:
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0] = 1.0
+    if model == "planar":
+        assert beta is None and gamma0 is None
+    else:
+        np.testing.assert_array_equal(
+            gamma0, evaluate_field(ctx.scenario.twist_pref,
+                                   ctx.mesh.midpoints, 0.25))
+    np.testing.assert_array_equal(
+        alpha, evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u, 0.25))
+    later = ctx.drive(0.5)[0]
+    assert later is not alpha
+    np.testing.assert_array_equal(
+        later, evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u, 0.5))

@@ -247,3 +247,33 @@ def test_spin_up_phase_develops_the_waveform_and_resets_the_clock():
     # spin-up steps counted in the invariant sweep but not in the records
     assert res.stats.steps == step_count(5.0, 0.25) + step_count(1.0, 0.25)
     assert len(res.records) == 5
+
+
+@pytest.mark.parametrize("model, preset", [("spatial", "worm3d"),
+                                           ("planar", "worm2d")])
+def test_each_drive_field_is_evaluated_once_per_step_time(model, preset):
+    # assembly, end curvatures, twist law and energy of one step time share
+    # one evaluation of each preferred field; the planar model evaluates
+    # neither the second curvature nor the twist
+    driver, dim = MODELS[model]
+    scn = builtin_scenario(preset)
+    calls = {}
+
+    def counted(name):
+        f = getattr(scn, name)
+
+        def field(u, t):
+            calls.setdefault(name, []).append(t)
+            return f(u, t)
+        return field
+
+    names = ("kappa1_pref", "kappa2_pref", "twist_pref")
+    counted_scn = dataclasses.replace(scn, **{k: counted(k) for k in names})
+    res = driver(SimConfig(counted_scn, n_vertices=16, dt=1.0 / 16.0,
+                           t_final=1.0, dimension=dim))
+    assert res.stats.steps == 96
+    times = [k / 16.0 for k in range(17)]   # spin-up at 0, then the steps
+    used = names if dim == 3 else names[:1]
+    assert sorted(calls) == sorted(used)
+    for name in used:
+        assert calls[name] == times, name

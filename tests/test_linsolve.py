@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rodfem import SimConfig, builtin_scenario, uniform_mesh
+from rodfem.assembly3d import StepContext, frozen_geometry
 from rodfem.errors import AssemblyError, SingularMatrixError
-from rodfem.linsolve import BandedMatrix, factorize, solve
+from rodfem.linsolve import BandedLU, BandedMatrix, factorize, solve
+from rodfem.solver2d import assemble_step_2d, spun_up_state_2d
 
 from reference_dense import band_from_dense, dense_from_band
 
@@ -108,6 +111,34 @@ def test_solution_residual_is_small():
     assert np.linalg.norm(r) / bnorm < 1e-13
     assert np.linalg.norm(b - dense @ x) / bnorm < 1e-13
     np.testing.assert_allclose(r, b - m.matvec(x), rtol=0.0, atol=0.0)
+
+
+def test_one_refinement_round_is_componentwise_backward_stable(monkeypatch):
+    # the first main-phase step of a spun-up planar worm at n = 128: one
+    # refinement round leaves |r| just above 1e-12·|c| here, yet a second
+    # round would not lower it
+    dt = 1.0 / 16.0
+    cfg = SimConfig(builtin_scenario("worm2d"), n_vertices=128, dt=dt,
+                    dimension=2)
+    st = spun_up_state_2d(cfg)
+    mesh = uniform_mesh(cfg.n_vertices)
+    ctx = StepContext(mesh, cfg.scenario, 2)
+    matrix, b, c = assemble_step_2d(ctx, frozen_geometry(mesh, st.x), dt, dt,
+                                    st.x, st.kappa, st.rest_density)
+    lu = factorize(matrix)
+    calls = {"backsolve": 0, "matvec": 0}
+    for cls, name in ((BandedLU, "backsolve"), (BandedMatrix, "matvec")):
+        def counted(*args, _name=name, _f=getattr(cls, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cls, name, counted)
+    x, r = solve(lu, c)
+    assert calls == {"backsolve": 2, "matvec": 2}
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+    # Oettli-Prager: max_i |r_i| / (|A| |x| + |c|)_i
+    dense = dense_from_band(matrix)
+    omega = np.max(np.abs(r) / (np.abs(dense) @ np.abs(x) + np.abs(c)))
+    assert omega <= 4.0 * np.finfo(float).eps
 
 
 def test_singular_matrix_is_reported():
