@@ -114,9 +114,8 @@ def test_solution_residual_is_small():
 
 
 def test_one_refinement_round_is_componentwise_backward_stable(monkeypatch):
-    # the first main-phase step of a spun-up planar worm at n = 128: one
-    # refinement round leaves |r| just above 1e-12·|c| here, yet a second
-    # round would not lower it
+    # the first main-phase step of a spun-up planar worm at n = 128, whose
+    # refined residual sits just above 1e-12·|c|: one round still suffices
     dt = 1.0 / 16.0
     cfg = SimConfig(builtin_scenario("worm2d"), n_vertices=128, dt=dt,
                     dimension=2)
