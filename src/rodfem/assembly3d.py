@@ -28,89 +28,88 @@ from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
 
 
-@dataclass(frozen=True)
-class BandPattern:
-    """Where the entries of one step matrix go in its band, in put order.
-
-    positions are the distinct flat positions of the entries in the
-    Fortran-ordered band data (see `BandedMatrix.flat_indices`), and inverse
-    maps every put entry to its index in positions.
-    """
-
-    n: int
-    kl: int
-    ku: int
-    positions: np.ndarray = field(repr=False)
-    inverse: np.ndarray = field(repr=False)
-
-
-def _band_pattern(n, rows, cols) -> BandPattern:
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    d = r - c
-    kl, ku = int(d.max()), int(-d.min())
-    flat = BandedMatrix(n, kl, ku).flat_indices(r, c)
-    del r, c, d     # freed before np.unique makes its sorted copies
-    positions, inverse = np.unique(flat, return_inverse=True)
-    return BandPattern(n, kl, ku, positions, inverse)
-
-
 class _Triplets:
     """Values of one step matrix, put in blocks of the layout's dim slots.
 
     Shared by the spatial and the planar assembler.  The matrix's sparsity
-    pattern depends only on the unknown layout, so the layout owns it and
-    records it once per run: while layout.pattern is None the put helpers
-    also collect each entry's row and column, and `banded` stores their
-    BandPattern there.  Every later assembly through the same layout puts
-    values only, in the same order.  Entries at the same position are
-    summed in the order they were put.
+    pattern depends only on the unknown layout, so the layout records it
+    once per run: the first assembly through a layout keeps each put's
+    rows, columns and values, and `banded` stores the band's kl and ku and
+    one array of flat band positions per put call in the layout, rejecting
+    a position that is put twice.  Every later assembly makes the same put
+    calls in the same order, and each writes its values straight into a
+    band allocated up front, with one indexed assignment.
     """
 
     def __init__(self, layout):
         self.d = np.arange(layout.dim)
         self.layout = layout
-        self.vals = []
-        self.rows = self.cols = None
-        if layout.pattern is None:
-            self.rows, self.cols = [], []
+        self.calls = 0
+        self.entries = []           # (rows, cols, values) of a first assembly
+        self.matrix = None
+        if layout.puts is not None:
+            self.matrix = BandedMatrix(layout.ndof, layout.kl, layout.ku)
+            self.flat = self.matrix.data.reshape(-1, order="F")
 
-    def _index(self, r, c, shape):
-        self.rows.append(np.broadcast_to(r, shape).ravel())
-        self.cols.append(np.broadcast_to(c, shape).ravel())
+    def _put(self, v, shape, index):
+        """Entries v, broadcast to shape, at the rows and columns index()
+        returns; only a first assembly needs them."""
+        k = self.calls
+        self.calls += 1
+        if self.matrix is None:
+            self.entries.append(tuple(np.broadcast_to(a, shape)
+                                      for a in (*index(), v)))
+            return
+        puts = self.layout.puts
+        if k >= len(puts) or puts[k].shape != shape:
+            raise AssemblyError(
+                f"put call {k} of shape {shape} does not match the band "
+                f"pattern recorded for this layout"
+            )
+        self.flat[puts[k]] = v
 
     def put(self, r, c, v):
         """Entries v at rows r and columns c."""
         v = np.asarray(v, dtype=float)
-        if self.rows is not None:
-            self._index(r, c, v.shape)
-        self.vals.append(v.ravel())
+        self._put(v, v.shape, lambda: (r, c))
 
     def put_blocks(self, r0, c0, mats):
         """A (dim, dim) block at each (r0, c0)."""
-        if self.rows is not None:
-            self._index(r0[:, None, None] + self.d[None, :, None],
-                        c0[:, None, None] + self.d[None, None, :], mats.shape)
-        self.vals.append(mats.ravel())
+        d = self.d
+        self._put(mats, mats.shape, lambda: (r0[:, None, None] + d[:, None],
+                                             c0[:, None, None] + d))
 
     def put_diag(self, r0, c0, coef):
         """coef times the (dim, dim) identity at each (r0, c0)."""
-        if self.rows is not None:
-            self._index(r0[:, None] + self.d, c0[:, None] + self.d,
-                        (coef.size, self.d.size))
-        self.vals.append(np.repeat(coef, self.d.size))
+        d = self.d
+        self._put(coef[:, None], (coef.size, d.size),
+                  lambda: (r0[:, None] + d, c0[:, None] + d))
 
     def put_vec_rows(self, r0, c0, vecs):
         """A vector down dim rows from r0, in the single column c0."""
-        if self.rows is not None:
-            self._index(r0[:, None] + self.d, c0[:, None], vecs.shape)
-        self.vals.append(vecs.ravel())
+        self._put(vecs, vecs.shape, lambda: (r0[:, None] + self.d,
+                                             c0[:, None]))
 
     def put_vec_cols(self, r0, c0, vecs):
         """A vector along dim columns from c0, in the single row r0."""
-        if self.rows is not None:
-            self._index(r0[:, None], c0[:, None] + self.d, vecs.shape)
-        self.vals.append(vecs.ravel())
+        self._put(vecs, vecs.shape, lambda: (r0[:, None],
+                                             c0[:, None] + self.d))
+
+    def _record(self):
+        """Record the first assembly's band in the layout; the filled band."""
+        lay = self.layout
+        d = [r - c for r, c, _ in self.entries]
+        matrix = BandedMatrix(lay.ndof, max(int(e.max()) for e in d),
+                              max(int(-e.min()) for e in d))
+        puts = tuple(matrix.flat_indices(r, c) for r, c, _ in self.entries)
+        ordered = np.sort(np.concatenate([p.ravel() for p in puts]))
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise AssemblyError("a band position is put more than once")
+        lay.kl, lay.ku, lay.puts = matrix.kl, matrix.ku, puts
+        flat = matrix.data.reshape(-1, order="F")
+        for p, (_, _, v) in zip(puts, self.entries):
+            flat[p] = v
+        return matrix
 
     def banded(self, b, what) -> BandedMatrix:
         """The band matrix holding every entry; rejects a non-finite b.
@@ -121,21 +120,14 @@ class _Triplets:
         if not np.all(np.isfinite(b)):
             raise AssemblyError(
                 f"non-finite entries in the {what} right-hand side")
-        v = np.concatenate(self.vals)
-        if self.rows is not None:
-            self.layout.pattern = _band_pattern(self.layout.ndof, self.rows,
-                                                self.cols)
-            self.rows = self.cols = None
-        pat = self.layout.pattern
-        if v.size != pat.inverse.size:
+        if self.matrix is None:
+            return self._record()
+        if self.calls != len(self.layout.puts):
             raise AssemblyError(
-                f"{what} system put {v.size} entries, its band pattern "
-                f"holds {pat.inverse.size}"
+                f"{what} system made {self.calls} put calls, its band "
+                f"pattern records {len(self.layout.puts)}"
             )
-        matrix = BandedMatrix(pat.n, pat.kl, pat.ku)
-        matrix.data.reshape(-1, order="F")[pat.positions] = np.bincount(
-            pat.inverse, weights=v)
-        return matrix
+        return self.matrix
 
 
 def _solve_increment(matrix, b, c, what, t_new, residual_tol):
@@ -201,7 +193,8 @@ class DofLayout:
     and y_slots list the dim slots of each vertex's position and of each
     interior vertex's bending moment; m_off and g_off (spin, twist) exist
     in space only.  A layout is made once per run and also holds the step
-    matrix's band pattern, recorded by the first assembly.
+    matrix's band, recorded by the first assembly: its kl and ku, and in
+    puts one array of flat band positions per put call (see `_Triplets`).
     """
 
     n_vertices: int
@@ -214,7 +207,9 @@ class DofLayout:
     x_slots: np.ndarray = field(init=False, repr=False)   # (n, dim)
     y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
     ndof: int = field(init=False)
-    pattern: BandPattern = field(init=False, default=None, repr=False)
+    kl: int = field(init=False, default=None)
+    ku: int = field(init=False, default=None)
+    puts: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         n, dim = self.n_vertices, self.dim

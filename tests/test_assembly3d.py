@@ -11,6 +11,7 @@ import pytest
 from rodfem.assembly3d import (
     DofLayout,
     StepContext,
+    _Triplets,
     _twist_law,
     assemble_step,
     frozen_geometry,
@@ -237,10 +238,11 @@ def test_band_pattern_is_recorded_once_and_reused(model, n):
     # n = 3, 4 have fewer unknowns than the band has rows
     first, *_, owner = assembled_step(model, n=n, seed=5, scale=0.15)
     layout = owner.layout
-    pattern = layout.pattern
-    assert pattern is not None
+    puts = layout.puts
+    assert puts is not None
+    assert (layout.kl, layout.ku) == (first.kl, first.ku)
     second, *_ = assembled_step(model, n=n, seed=6, scale=0.25, owner=owner)
-    assert layout.pattern is pattern
+    assert layout.puts is puts
     fresh, *_ = assembled_step(model, n=n, seed=6, scale=0.25)
     assert not np.array_equal(second.data, first.data)
     assert np.array_equal(second.data, fresh.data)
@@ -252,13 +254,29 @@ def test_assembly_with_another_runs_pattern_is_rejected():
     _, *_, small = assembled_step("spatial", n=4)
     mesh, st = bent_test_state(5)
     ctx = StepContext(mesh, builtin_scenario("worm3d"), 3)
-    ctx.layout.pattern = small.layout.pattern
+    lay = ctx.layout
+    lay.kl, lay.ku, lay.puts = small.layout.kl, small.layout.ku, \
+        small.layout.puts
     with pytest.raises(AssemblyError, match="band pattern"):
         assemble_step(
             ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, st["x"], st["e1"],
             st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
             *_twist_law(ctx, 0.1, 0.1, st["gamma"]),
         )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_band_position_put_twice_is_rejected(dim):
+    # every entry of a step has its own band position; a second put at the
+    # same position would overwrite the first, so the recording refuses it
+    lay = DofLayout(4, dim)
+    m = _Triplets(lay)
+    m.put_diag(lay.x_off, lay.x_off, np.ones(4))
+    m.put(lay.p_off, lay.p_off, np.ones(3))
+    m.put(lay.x_off[1:2] + 1, lay.x_off[1:2] + 1, [2.0])
+    with pytest.raises(AssemblyError, match="more than once"):
+        m.banded(np.zeros(lay.ndof), "test")
+    assert lay.puts is None
 
 
 @pytest.mark.parametrize("model", ["spatial", "planar"])
