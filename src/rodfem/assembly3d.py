@@ -10,7 +10,9 @@ are not unknowns of the solve: with the lumped weights the curvature
 identity is diagonal in the curvature and the twist law in the twist
 moment, so both are substituted into the other rows and recovered from the
 solution afterwards.  Unknowns are interleaved along the rod so the matrix
-is banded with a resolution-independent bandwidth.  The momentum balance,
+is banded with a resolution-independent bandwidth; each row is put in the
+slot of the unknown it pivots on (see `DofLayout`), which keeps that band
+11 wide on either side in space and 6 in the plane.  The momentum balance,
 the bending law with the curvature substituted, and inextensibility are put
 once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
 those rows alone, and the spatial step adds spin and twist to them.  Both
@@ -188,13 +190,23 @@ class DofLayout:
     and tension in space, the tension alone in the plane.  That is a stride
     of 9 slots in space and 5 in the plane, and 9n - 8 or 5n - 5 unknowns
     for n vertices; curvature and twist moment are eliminated from the
-    step (see `_rod_rows`, `assemble_step`).  Rows are assigned to the same
-    slots as the unknown they balance, which keeps the band tight.  x_slots
-    and y_slots list the dim slots of each vertex's position and of each
-    interior vertex's bending moment; m_off and g_off (spin, twist) exist
-    in space only.  A layout is made once per run and also holds the step
-    matrix's band, recorded by the first assembly: its kl and ku, and in
-    puts one array of flat band positions per put call (see `_Triplets`).
+    step (see `_rod_rows`, `assemble_step`).  x_slots and y_slots list the
+    dim slots of each vertex's position and of each interior vertex's
+    bending moment; m_off and g_off (spin, twist) exist in space only.
+
+    Rows are put where they pivot, which gives the narrowest band: at an
+    interior vertex the bending law, whose largest coefficients sit on the
+    vertex's position, takes the position slots, and the momentum balance
+    takes the bending-moment slots.  The end vertices have no bending
+    moment, so their momentum rows keep the position slots.  The spin,
+    twist and tension rows keep their unknown's slot.  That is kl = ku = 11
+    in space and 6 in the plane for n >= 4 vertices.  mom_off and law_off
+    are the first rows of each vertex's momentum balance and each interior
+    vertex's bending law, mom_rows and law_rows all dim of them.
+
+    A layout is made once per run and also holds the step matrix's band,
+    recorded by the first assembly: its kl and ku, and in puts one array of
+    flat band positions per put call (see `_Triplets`).
     """
 
     n_vertices: int
@@ -206,6 +218,10 @@ class DofLayout:
     g_off: np.ndarray = field(init=False, default=None, repr=False)
     x_slots: np.ndarray = field(init=False, repr=False)   # (n, dim)
     y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
+    mom_off: np.ndarray = field(init=False, repr=False)
+    law_off: np.ndarray = field(init=False, repr=False)
+    mom_rows: np.ndarray = field(init=False, repr=False)  # (n, dim)
+    law_rows: np.ndarray = field(init=False, repr=False)  # (n - 2, dim)
     ndof: int = field(init=False)
     kl: int = field(init=False, default=None)
     ku: int = field(init=False, default=None)
@@ -234,6 +250,13 @@ class DofLayout:
         d = np.arange(dim)
         self.x_slots = x_off[:, None] + d
         self.y_slots = y_off[1:-1, None] + d
+        # an interior vertex's bending law pivots on its position and its
+        # momentum balance on its bending moment, so their rows swap slots
+        self.mom_off = y_off.copy()
+        self.mom_off[[0, -1]] = x_off[[0, -1]]
+        self.law_off = x_off[1:-1]
+        self.mom_rows = self.mom_off[:, None] + d
+        self.law_rows = self.law_off[:, None] + d
         self.ndof = stride * (n - 1) + spin
 
 
@@ -357,32 +380,33 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     P = eye[None] - tau[:, :, None] * tau[:, None, :]           # (ne,d,d)
 
     xo, yo, po = layout.x_off, layout.y_off, layout.p_off
+    fo, lo = layout.mom_off, layout.law_off       # momentum, bending law
     ii = slice(1, n - 1)        # interior vertices
     A_i = ctx.bend_stiffness[ii]
     B_i = ctx.bend_viscosity[ii]
     dx = x[1:] - x[:-1]
 
-    # -- momentum balance at every vertex (rows at the position slots)
+    # -- momentum balance at every vertex
     drag_lumped = np.zeros((n,) + K.shape[1:])
     drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
     drag_lumped[1:] += 0.5 * hs[:, None, None] * K
-    m.put_blocks(xo, xo, drag_lumped / dt)
-    b[layout.x_slots] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
+    m.put_blocks(fo, xo, drag_lumped / dt)
+    b[layout.mom_rows] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
 
     # tension forces of element e on its two end vertices
-    m.put_vec_rows(xo[:-1], po, tau)
-    m.put_vec_rows(xo[1:], po, -tau)
+    m.put_vec_rows(fo[:-1], po, tau)
+    m.put_vec_rows(fo[1:], po, -tau)
 
     # transverse bending force, projected difference of the bending moment
     coefP = P / hs[:, None, None]
     # from the elements left (coefP[:-1]) and right (coefP[1:]) of each
     # interior vertex; the diagonal block is put once, as one sum
-    m.put_blocks(xo[:-2], yo[ii], coefP[:-1])
-    m.put_blocks(xo[ii], yo[ii], -(coefP[:-1] + coefP[1:]))
-    m.put_blocks(xo[2:], yo[ii], coefP[1:])
+    m.put_blocks(fo[:-2], yo[ii], coefP[:-1])
+    m.put_blocks(fo[ii], yo[ii], -(coefP[:-1] + coefP[1:]))
+    m.put_blocks(fo[2:], yo[ii], coefP[1:])
 
-    # -- bending law at interior vertices (bending-moment rows), with the
-    # curvature given by the positions
+    # -- bending law at interior vertices, with the curvature given by the
+    # positions
     ti = ttau[ii]
     Pt = eye[None] - ti[:, :, None] * ti[:, None, :]
     kmat = (
@@ -392,11 +416,11 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     )
     a_l = 1.0 / hs[:-1]
     a_r = 1.0 / hs[1:]
-    m.put_diag(yo[ii], yo[ii], w[ii])
-    m.put_blocks(yo[ii], xo[:-2], a_l[:, None, None] * kmat)
-    m.put_blocks(yo[ii], xo[ii], -(a_l + a_r)[:, None, None] * kmat)
-    m.put_blocks(yo[ii], xo[2:], a_r[:, None, None] * kmat)
-    b[layout.y_slots] = w[ii][:, None] * (
+    m.put_diag(lo, yo[ii], w[ii])
+    m.put_blocks(lo, xo[:-2], a_l[:, None, None] * kmat)
+    m.put_blocks(lo, xo[ii], -(a_l + a_r)[:, None, None] * kmat)
+    m.put_blocks(lo, xo[2:], a_r[:, None, None] * kmat)
+    b[layout.law_rows] = w[ii][:, None] * (
         -A_pref
         - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
     )
@@ -408,8 +432,8 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
 
     # -- c row by row: rows without a position column keep b
     c = b.copy()
-    c[layout.x_slots] = 0.0
-    c[layout.y_slots] -= np.einsum(
+    c[layout.mom_rows] = 0.0
+    c[layout.law_rows] -= np.einsum(
         "nij,nj->ni", kmat, a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1])
     c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
     return c
@@ -458,8 +482,8 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     # force of z0 is tz0 on the left vertex and -tz0 on the right
     tzc = tk * zc[:, None]
     tz0 = tk * z0[:, None]
-    m.put_vec_rows(xo[:-1], go, tzc)
-    m.put_vec_rows(xo[1:], go, -tzc)
+    m.put_vec_rows(lay.mom_off[:-1], go, tzc)
+    m.put_vec_rows(lay.mom_off[1:], go, -tzc)
 
     # -- tangential angular momentum at every vertex (spin rows)
     m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
@@ -491,8 +515,8 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     f0 = np.zeros((n, 3))
     f0[:-1] -= tz0
     f0[1:] += tz0
-    b[lay.x_slots] += f0
-    c[lay.x_slots] = f0
+    b[lay.mom_rows] += f0
+    c[lay.mom_rows] = f0
     return m.banded(b, "step"), b, c
 
 

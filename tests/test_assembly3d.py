@@ -117,6 +117,17 @@ def test_unknown_layout_is_a_tight_permutation():
             assert sorted(slots) == list(range(lay.ndof))
             assert not any(hasattr(lay, name)
                            for name in ("k_off", "k_slots", "z_off"))
+            # the rows are a permutation too: an interior vertex's
+            # momentum rows sit in its bending-moment slots and its
+            # bending-law rows in its position slots
+            rows = list(lay.mom_rows.ravel()) + list(lay.law_rows.ravel())
+            rows += list(lay.p_off)
+            if dim == 3:
+                rows += list(lay.m_off) + list(lay.g_off)
+            assert sorted(rows) == list(range(lay.ndof))
+            assert np.array_equal(lay.mom_rows[1:-1], lay.y_slots)
+            assert np.array_equal(lay.mom_rows[[0, -1]], lay.x_slots[[0, -1]])
+            assert np.array_equal(lay.law_rows, lay.x_slots[1:-1])
 
 
 def test_layout_rejects_tiny_rods():
@@ -230,6 +241,27 @@ def test_assembled_increment_rhs_is_b_minus_a_base(model):
     want = b.astype(np.longdouble) - dense @ base
     assert np.abs(want).max() > 1e-3 * np.linalg.norm(b)  # c is not all zero
     assert np.linalg.norm(c - want) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_step_band_is_eleven_wide_in_space_and_six_in_the_plane():
+    # each row sits where it pivots, so the band is as narrow as the
+    # vertex blocks allow; a rod of 3 vertices has no full interior block
+    for model, ns, narrow in (("spatial", (3, 4, 16, 512), (8, 11)),
+                              ("planar", (3, 4, 16, 128), (4, 6))):
+        for n in ns:
+            matrix, *_ = assembled_step(model, n=n)
+            full = narrow[1]
+            want = narrow if n == 3 else (full, full)
+            assert (matrix.kl, matrix.ku) == want, (model, n)
+    # the relaxation benchmark's step: 4600 unknowns in 34 band rows
+    mesh, st = bent_test_state(512)
+    ctx = StepContext(mesh, builtin_scenario("relaxation"), 3)
+    matrix, _, _ = assemble_step(
+        ctx, frozen_geometry(mesh, st["x"]), 1.0 / 16.0, 0.0625, st["x"],
+        st["e1"], st["e2"], st["kappa"], st["gamma"], st["y"], st["m"],
+        st["s0"], *_twist_law(ctx, 1.0 / 16.0, 0.0625, st["gamma"]),
+    )
+    assert matrix.data.shape == (34, 4600)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
