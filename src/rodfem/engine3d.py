@@ -226,6 +226,9 @@ def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
         geom = frozen_geometry(mesh, state.x)
 
     t0 = state.t
+    if round((config.t_final - t0) / config.dt) < 0:
+        raise InvalidParameterError(
+            f"resume state is at t={t0}, past t_final={config.t_final}")
     n_steps = step_count(config.t_final - t0, config.dt)
     step0 = int(round(t0 / config.dt))
     records = []

@@ -210,6 +210,23 @@ def test_resume_with_wrong_mesh_is_rejected(model):
 
 
 @pytest.mark.parametrize("model", MODELS)
+def test_resume_past_the_horizon_names_the_state_time_and_horizon(model):
+    driver, dim = MODELS[model]
+    scn = builtin_scenario("relaxation")
+    pin = dict(n_vertices=8, dt=0.25, dimension=dim)
+    head = driver(SimConfig(scn, t_final=1.0, **pin))
+    with pytest.raises(InvalidParameterError,
+                       match=r"t=1\.0, past t_final=0\.5"):
+        driver(SimConfig(scn, t_final=0.5, **pin), state=head.final_state)
+    # a state at the horizon, or a rounding past it, takes no step
+    tail = driver(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
+    assert tail.stats.steps == 0
+    head.final_state.t = 1.0 + 1e-12
+    tail = driver(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
+    assert tail.stats.steps == 0
+
+
+@pytest.mark.parametrize("model", MODELS)
 def test_driver_rejects_the_other_models_config_and_state(model):
     driver, dim = MODELS[model]
     other_driver, other_dim = MODELS["planar" if dim == 3 else "spatial"]
