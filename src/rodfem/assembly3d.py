@@ -18,16 +18,52 @@ once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
 those rows alone, and the spatial step adds spin and twist to them.  Both
 models number their unknowns with one `DofLayout` and hold their per-run
 constants in one `StepContext`, each parameterised by the dimension.
+
+Each step maps a rod state to the next one.  A spatial step solves the
+implicit banded system with geometry frozen at the previous state, then
+carries the director pair forward by two exact rotations: one taking the
+old averaged tangent to the new one, one about the new tangent by the
+solved spin rate times the step size.  A step whose solve leaves a relative
+residual above `RESIDUAL_TOL` raises `SolverError`.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssemblyError, SolverError
-from .geometry import FrozenGeometry, Mesh, cross, frozen_geometry  # noqa: F401 (re-exported)
+from .errors import AssemblyError, InvalidParameterError, SolverError
+from .frame import transport_frame
+from .geometry import Mesh, cross, frozen_geometry
 from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
+
+#: largest relative residual |c - A·increment| / |b| a step may leave
+RESIDUAL_TOL = 1e-10
+
+
+@dataclass
+class RodState3D:
+    """Complete state of one step: geometry, directors, and auxiliaries."""
+
+    t: float
+    x: np.ndarray             # (n, 3)
+    e1: np.ndarray            # (n, 3)
+    e2: np.ndarray            # (n, 3)
+    kappa: np.ndarray         # (n, 3)
+    twist: np.ndarray         # (ne,)
+    bend_moment: np.ndarray   # (n, 3)
+    spin: np.ndarray          # (n,)
+    twist_moment: np.ndarray  # (ne,)
+    tension: np.ndarray       # (ne,)
+    rest_density: np.ndarray  # (ne,) length density the constraint pins
+
+    def copy(self) -> "RodState3D":
+        return RodState3D(
+            self.t, self.x.copy(), self.e1.copy(), self.e2.copy(),
+            self.kappa.copy(), self.twist.copy(), self.bend_moment.copy(),
+            self.spin.copy(), self.twist_moment.copy(), self.tension.copy(),
+            self.rest_density.copy(),
+        )
 
 
 class _Triplets:
@@ -132,7 +168,7 @@ class _Triplets:
         return self.matrix
 
 
-def _solve_increment(matrix, b, c, what, t_new, residual_tol):
+def _solve_increment(matrix, b, c, what, t_new):
     """Solve one step system; returns the increment and its relative residual.
 
     c = b - A·base is the right-hand side of the increment over base, which
@@ -148,10 +184,10 @@ def _solve_increment(matrix, b, c, what, t_new, residual_tol):
     sol, r = solve(factorize(matrix), c)
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(r) / (bnorm if bnorm > 0.0 else 1.0))
-    if not res <= residual_tol:
+    if not res <= RESIDUAL_TOL:
         raise SolverError(
             f"{what} at t={t_new} left relative residual {res:.3e} "
-            f"(tolerance {residual_tol:.1e})"
+            f"(tolerance {RESIDUAL_TOL:.1e})"
         )
     return sol, res
 
@@ -308,39 +344,36 @@ class StepContext:
         alpha and beta are the preferred curvature components at the
         vertices, gamma0 the preferred twist at the element midpoints.  A
         planar context evaluates alpha only and returns None for the other
-        two.  The fields of the last t are kept and returned again.
+        two.  The fields of the last t are kept and returned again.  A
+        field with a non-finite value raises InvalidParameterError naming
+        the field, t and the first vertex or element where it is not finite.
         """
         t = float(t)
         if t != self._drive_t:
-            scn, u = self.scenario, self.mesh.u
             beta = gamma0 = None
-            alpha = _read_only(evaluate_field(scn.kappa1_pref, u, t))
+            alpha = self._field("kappa1_pref", "alpha0", t)
             if self.dim == 3:
-                beta = _read_only(evaluate_field(scn.kappa2_pref, u, t))
-                gamma0 = _read_only(evaluate_field(
-                    scn.twist_pref, self.mesh.midpoints, t))
+                beta = self._field("kappa2_pref", "beta0", t)
+                gamma0 = self._field("twist_pref", "gamma0", t)
             self._drive_t, self._drive = t, (alpha, beta, gamma0)
         return self._drive
 
-
-@dataclass
-class StepResult3D:
-    """Decoded fields of one step, with prescribed end curvatures attached.
-
-    kappa and twist_moment are not unknowns of the step system: the decode
-    recovers them from the solved positions and twist, through the
-    curvature identity and the twist law with the step's frozen
-    coefficients.
-    """
-
-    x: np.ndarray             # positions (n, 3)
-    bend_moment: np.ndarray   # (n, 3), zero at the ends
-    kappa: np.ndarray         # (n, 3)
-    spin: np.ndarray          # tangential angular velocity (n,)
-    twist_moment: np.ndarray  # (ne,)
-    twist: np.ndarray         # (ne,)
-    tension: np.ndarray       # (ne,)
-    residual: float
+    def _field(self, name, key, t):
+        """The scenario's preferred field `name` (config key scenario.key)
+        at time t, on the vertices, or on the element midpoints for the
+        twist; read-only."""
+        twist = name == "twist_pref"
+        u = self.mesh.midpoints if twist else self.mesh.u
+        values = evaluate_field(getattr(self.scenario, name), u, t)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = bad[0]
+            raise InvalidParameterError(
+                f"scenario.{key} ({name}) is not finite at t={t:g}: "
+                f"{values[i]} at {'element' if twist else 'vertex'} {i} "
+                f"(u={u[i]:g})"
+            )
+        return _read_only(values)
 
 
 def _cross_matrices(v: np.ndarray) -> np.ndarray:
@@ -452,16 +485,14 @@ def _twist_law(ctx, dt, t_new, twist):
     return C_e + D_e / dt, -C_e * gamma0 - (D_e / dt) * twist
 
 
-def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
-                  bend_moment, spin, rest_density, zc, z0):
+def assemble_step(ctx, geom, dt, t_new, st, zc, z0):
     """Step matrix A, right-hand side b, and c = b - A·base for one step.
 
-    All state arguments are the previous step's fields; rest_density is the
-    per-element length density the constraint rows pin the new positions to.
-    base holds x in the position slots and zero elsewhere.  The twist moment
-    z = zc·g + z0 of the step's `_twist_law` is substituted into the
-    momentum and spin rows: its columns become zc times the twist's, and z0
-    moves into b and c.
+    st is the previous step's state, whose rest density the constraint rows
+    pin the new positions to.  base holds st.x in the position slots and
+    zero elsewhere.  The twist moment z = zc·g + z0 of the step's
+    `_twist_law` is substituted into the momentum and spin rows: its columns
+    become zc times the twist's, and z0 moves into b and c.
     """
     mesh = ctx.mesh
     lay = ctx.layout
@@ -469,6 +500,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     tau, ttau, w = geom.tau, geom.ttau, geom.w
     hs = mesh.h * geom.s
 
+    x, kappa = st.x, st.kappa
     kbar = 0.5 * (kappa[:-1] + kappa[1:])
     tk = cross(tau, kbar)                                       # (ne,3)
 
@@ -489,7 +521,7 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
     m.put(mo[:-1], go, zc)
     m.put(mo[1:], go, -zc)
-    b[mo] = -w * np.einsum("nd,nd->n", bend_moment, cross(ttau, kappa))
+    b[mo] = -w * np.einsum("nd,nd->n", st.bend_moment, cross(ttau, kappa))
     b[mo[:-1]] -= z0
     b[mo[1:]] += z0
 
@@ -499,17 +531,17 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     m.put(go, mo[1:], -np.ones(ne))
     m.put_vec_cols(go, xo[1:], tk / dt)
     m.put_vec_cols(go, xo[:-1], -tk / dt)
-    twist_rate = hs * twist / dt
+    twist_rate = hs * st.twist / dt
     b[go] = twist_rate + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
 
     # -- the rows the planar model shares, bent toward alpha e1 + beta e2
     A_i = ctx.bend_stiffness[ii]
     B_i = ctx.bend_viscosity[ii]
     alpha, beta, _ = ctx.drive(t_new)
-    pref = alpha[ii, None] * e1[ii] + beta[ii, None] * e2[ii]
-    c = _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density,
-                  A_i[:, None] * pref,
-                  (B_i * spin[ii])[:, None, None] * _cross_matrices(ttau[ii]))
+    pref = alpha[ii, None] * st.e1[ii] + beta[ii, None] * st.e2[ii]
+    gyro = (B_i * st.spin[ii])[:, None, None] * _cross_matrices(ttau[ii])
+    c = _rod_rows(m, b, ctx, geom, dt, x, kappa, st.rest_density,
+                  A_i[:, None] * pref, gyro)
     c[go] = twist_rate
     # the forces of z0 are all there is of c in the momentum rows
     f0 = np.zeros((n, 3))
@@ -520,31 +552,29 @@ def assemble_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist,
     return m.banded(b, "step"), b, c
 
 
-def solve_step(ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment,
-               spin, rest_density, residual_tol=1e-10) -> StepResult3D:
-    """Assemble, factor, and solve one step; decode the solution fields."""
-    zc, z0 = _twist_law(ctx, dt, t_new, twist)
-    matrix, b, c = assemble_step(
-        ctx, geom, dt, t_new, x, e1, e2, kappa, twist, bend_moment, spin,
-        rest_density, zc, z0,
-    )
-    lay = ctx.layout
-    sol, res = _solve_increment(matrix, b, c, "step", t_new, residual_tol)
+def solve_step(ctx, geom, dt, t_new, st):
+    """One step from st, whose frozen geometry is geom, to the time t_new.
 
-    x_new, y_new, k_new = _decode_rod(ctx, geom, x, sol)
+    Returns the new `RodState3D`, with its directors transported, the new
+    state's `FrozenGeometry` and the step's relative residual.
+    """
+    zc, z0 = _twist_law(ctx, dt, t_new, st.twist)
+    matrix, b, c = assemble_step(ctx, geom, dt, t_new, st, zc, z0)
+    lay = ctx.layout
+    sol, res = _solve_increment(matrix, b, c, "step", t_new)
+
+    x, y, kappa = _decode_rod(ctx, geom, st.x, sol)
     # prescribed end curvature, in the directors the step was built with
     alpha, beta, _ = ctx.drive(t_new)
     ends = [0, -1]
-    k_new[ends] = (alpha[ends, None] * e1[ends]
-                   + beta[ends, None] * e2[ends])
-    g_new = sol[lay.g_off]
-    return StepResult3D(
-        x=x_new,
-        bend_moment=y_new,
-        kappa=k_new,
-        spin=sol[lay.m_off],
-        twist_moment=zc * g_new + z0,
-        twist=g_new,
-        tension=sol[lay.p_off],
-        residual=res,
+    kappa[ends] = (alpha[ends, None] * st.e1[ends]
+                   + beta[ends, None] * st.e2[ends])
+    spin, twist = sol[lay.m_off], sol[lay.g_off]
+    gnew = frozen_geometry(ctx.mesh, x)
+    e1, e2 = transport_frame(st.e1, st.e2, geom.ttau, gnew.ttau, dt * spin)
+    new = RodState3D(
+        t=t_new, x=x, e1=e1, e2=e2, kappa=kappa, twist=twist, bend_moment=y,
+        spin=spin, twist_moment=zc * twist + z0, tension=sol[lay.p_off],
+        rest_density=st.rest_density,
     )
+    return new, gnew, res

@@ -34,7 +34,6 @@ from . import __version__
 from .diagnostics import (
     curvature_components,
     eoc,
-    write_convergence_table,
     write_diagnostics,
     write_kymograph,
     write_snapshot,
@@ -79,7 +78,6 @@ _KNOWN_KEYS = {
     "run.n_vertices": "int",
     "run.t_final": "float",
     "run.dimension": "int",
-    "run.residual_tol": "float",
     "output.snapshot_stride": "int",
     "output.kymograph": "bool",
 }
@@ -170,29 +168,25 @@ def build_scenario(cfg) -> Scenario:
             raise ConfigError(
                 "scenario.alpha0 is required when scenario.name = custom"
             )
-        scn = Scenario(
-            name="custom",
-            kappa1_pref=compile_expr(cfg["scenario.alpha0"]),
-            kappa2_pref=compile_expr(cfg.get("scenario.beta0", "0")),
-            twist_pref=compile_expr(cfg.get("scenario.gamma0", "0")),
-        )
+        zero = compile_expr("0")
+        scn = Scenario(name="custom", kappa1_pref=zero, kappa2_pref=zero,
+                       twist_pref=zero)
     else:
         raise ConfigError(
             f"scenario.name: unknown scenario '{name}' "
             f"(expected one of {', '.join(_PRESET_NAMES)}, or custom)"
         )
 
-    # field overrides are honored for presets too, so small variations of
-    # the bundled studies need no custom scenario
-    if name != "custom":
-        for key, attr in (("scenario.alpha0", "kappa1_pref"),
-                          ("scenario.beta0", "kappa2_pref"),
-                          ("scenario.gamma0", "twist_pref")):
-            if key in cfg:
-                try:
-                    scn = dataclasses.replace(scn, **{attr: compile_expr(cfg[key])})
-                except ConfigError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
+    # the fields of a custom scenario, and overrides of a preset's, so
+    # small variations of the bundled studies need no custom scenario
+    for key, attr in (("scenario.alpha0", "kappa1_pref"),
+                      ("scenario.beta0", "kappa2_pref"),
+                      ("scenario.gamma0", "twist_pref")):
+        if key in cfg:
+            try:
+                scn = dataclasses.replace(scn, **{attr: compile_expr(cfg[key])})
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
     # every material key but epsilon sets the field of the same name
     updates = {key.split(".")[1]: _get(cfg, key) for key in cfg
@@ -402,7 +396,10 @@ def cmd_converge(args) -> int:
     rates = eoc([r["max_f1"] for r in rows], [r["dt"] for r in rows])
     for r, rate in zip(rows[1:], rates):
         r["eoc"] = float(rate)
-    write_convergence_table(out_dir / "converge.csv", rows)
+    header = ["dt", "n_vertices", "max_f1", "eoc", "max_f2",
+              "max_f2_increment"]
+    write_table(out_dir / "converge.csv", header,
+                [[r[k] for r in rows] for k in header])
 
     print(f"{scenario.name}: refinement levels {levels} "
           f"({'2' if _get(cfg, 'run.dimension', 3) == 2 else '3'}-d)")

@@ -1,4 +1,4 @@
-"""Scalar functionals, convergence tables, and CSV export.
+"""Scalar functionals and CSV export.
 
 Every CSV table rodfem writes goes through `write_table`, the one place
 that knows the CSV dialect and the cell format.  The other writers only
@@ -153,13 +153,3 @@ def write_kymograph(vertex_path, element_path, mesh, samples) -> None:
         np.ravel([s["gamma"] for s in twisted]),
     ])
 
-
-def write_convergence_table(path, rows) -> None:
-    """Refinement table: one row per level.
-
-    rows are dicts with keys dt, n_vertices, max_f1, eoc (None on the first
-    level), max_f2, max_f2_increment.
-    """
-    header = ["dt", "n_vertices", "max_f1", "eoc", "max_f2",
-              "max_f2_increment"]
-    write_table(path, header, [[r[k] for r in rows] for k in header])

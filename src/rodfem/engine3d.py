@@ -1,15 +1,11 @@
-"""Time-stepping driver for both rod models, and the spatial model itself.
+"""Time-stepping driver for both rod models, and the spatial model's run.
 
 The step loop lives here once, for `run` (spatial) and `solver2d.run2d`
 (planar): the spin-up phase, the resume check, the per-step invariant
 probe, the diagnostics records, the snapshots and the run result.  Each
 model hands the loop its step and its energy/frame-error measure as plain
-callables.
-
-Each spatial step solves the implicit banded system with geometry frozen at
-the previous state, then carries the director pair forward by two exact
-rotations: one taking the old averaged tangent to the new one, one about
-the new tangent by the solved spin rate times the step size.
+callables.  Each step maps a state to the next one; the spatial model's
+state and step live in `assembly3d`, the planar model's in `solver2d`.
 """
 
 import time
@@ -17,40 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly3d import StepContext, solve_step
+from .assembly3d import RodState3D, StepContext, solve_step
 from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
                           length_error)
 from .errors import InvalidParameterError
-from .frame import frame_error, transport_frame
+from .frame import frame_error
 from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
                        uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
 from .scenarios import Scenario
-
-
-@dataclass
-class RodState3D:
-    """Complete state of one step: geometry, directors, and auxiliaries."""
-
-    t: float
-    x: np.ndarray             # (n, 3)
-    e1: np.ndarray            # (n, 3)
-    e2: np.ndarray            # (n, 3)
-    kappa: np.ndarray         # (n, 3)
-    twist: np.ndarray         # (ne,)
-    bend_moment: np.ndarray   # (n, 3)
-    spin: np.ndarray          # (n,)
-    twist_moment: np.ndarray  # (ne,)
-    tension: np.ndarray       # (ne,)
-    rest_density: np.ndarray  # (ne,) length density the constraint pins
-
-    def copy(self) -> "RodState3D":
-        return RodState3D(
-            self.t, self.x.copy(), self.e1.copy(), self.e2.copy(),
-            self.kappa.copy(), self.twist.copy(), self.bend_moment.copy(),
-            self.spin.copy(), self.twist_moment.copy(), self.tension.copy(),
-            self.rest_density.copy(),
-        )
 
 
 @dataclass
@@ -61,7 +32,6 @@ class SimConfig:
     t_final: float = 25.0
     dimension: int = 3
     snapshot_stride: int = 0       # 0 = first and last step only
-    residual_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n_vertices < 3:
@@ -90,10 +60,6 @@ class SimConfig:
             )
         if self.snapshot_stride < 0:
             raise InvalidParameterError("snapshot_stride must be nonnegative")
-        if not self.residual_tol > 0.0:
-            raise InvalidParameterError(
-                f"residual_tol must be positive, got {self.residual_tol}"
-            )
 
 
 @dataclass
@@ -284,26 +250,12 @@ def run(config: SimConfig, state: RodState3D = None,
     ctx = StepContext(mesh, scn, 3)
 
     def step(st, gm, t, stats):
-        res = solve_step(
-            ctx, gm, config.dt, t, st.x, st.e1, st.e2, st.kappa,
-            st.twist, st.bend_moment, st.spin, st.rest_density,
-            config.residual_tol,
-        )
-        gnew = frozen_geometry(mesh, res.x)
-        e1n, e2n = transport_frame(
-            st.e1, st.e2, gm.ttau, gnew.ttau, config.dt * res.spin
-        )
-        new = RodState3D(
-            t=t, x=res.x, e1=e1n, e2=e2n, kappa=res.kappa,
-            twist=res.twist, bend_moment=res.bend_moment, spin=res.spin,
-            twist_moment=res.twist_moment, tension=res.tension,
-            rest_density=st.rest_density,
-        )
+        new, gnew, residual = solve_step(ctx, gm, config.dt, t, st)
         stats.max_abs_x3 = max(stats.max_abs_x3, float(np.abs(new.x[:, 2]).max()))
         beta_h = np.einsum("nd,nd->n", new.kappa, new.e2)
         stats.max_abs_beta = max(stats.max_abs_beta, float(np.abs(beta_h).max()))
         stats.max_abs_twist = max(stats.max_abs_twist, float(np.abs(new.twist).max()))
-        return new, gnew, res.residual
+        return new, gnew, residual
 
     def measure(st, gm):
         alpha, beta, gamma0 = ctx.drive(st.t)

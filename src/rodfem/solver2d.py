@@ -6,11 +6,13 @@ averaged tangent, recomputed from geometry each step, so frame bookkeeping
 bending moment and tension, 5 per vertex; the curvature is eliminated as in
 space, and twist and spin do not exist.
 
-This module holds the preferred curvature the planar step bends toward and
-the decode of its solution.  The unknown layout and the per-run constants
-are a dim = 2 `assembly3d.StepContext`, the rows of the step system are the
-ones `assembly3d._rod_rows` puts for both models, and the step loop that
-`run2d` and `spun_up_state_2d` go through is owned by `engine3d`.
+This module holds the planar state and the step that maps it to the next
+one: the preferred curvature the step bends toward and the decode of its
+solution.  The unknown layout and the per-run constants are a dim = 2
+`assembly3d.StepContext`, the rows of the step system are the ones
+`assembly3d._rod_rows` puts for both models, the residual check is the
+spatial step's, and the step loop that `run2d` and `spun_up_state_2d` go
+through is owned by `engine3d`.
 """
 
 from dataclasses import dataclass
@@ -54,32 +56,34 @@ def initial_state_2d(mesh: Mesh, scenario) -> RodState2D:
     )
 
 
-def assemble_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density):
+def assemble_step_2d(ctx, geom, dt, t_new, st):
     """Step matrix A, right-hand side b, and c = b - A·base for one planar
-    step: the rows the spatial model shares, without spin and twist, bent
-    toward alpha times the planar normal; see `assembly3d.assemble_step`."""
+    step from st: the rows the spatial model shares, without spin and
+    twist, bent toward alpha times the planar normal; see
+    `assembly3d.assemble_step`."""
     mesh = ctx.mesh
     ii = slice(1, mesh.n_vertices - 1)      # interior vertices
     A_i = ctx.bend_stiffness[ii]
     alpha = ctx.drive(t_new)[0]
     b = np.zeros(ctx.layout.ndof)
     m = _Triplets(ctx.layout)
-    c = _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density,
+    c = _rod_rows(m, b, ctx, geom, dt, st.x, st.kappa, st.rest_density,
                   A_i[:, None] * alpha[ii, None] * perp(geom.ttau[ii]), 0.0)
     return m.banded(b, "planar step"), b, c
 
 
-def solve_step_2d(ctx, geom, dt, t_new, x, kappa, rest_density,
-                  residual_tol=1e-10):
-    """One implicit planar step; `geom` is the frozen geometry of x."""
-    matrix, b, c = assemble_step_2d(ctx, geom, dt, t_new, x, kappa,
-                                    rest_density)
-    sol, res = _solve_increment(matrix, b, c, "planar step", t_new,
-                                residual_tol)
-    x_new, y_new, k_new = _decode_rod(ctx, geom, x, sol)
+def solve_step_2d(ctx, geom, dt, t_new, st):
+    """One implicit planar step from st, whose frozen geometry is geom, to
+    the time t_new; returns the new state, its frozen geometry and the
+    step's relative residual."""
+    matrix, b, c = assemble_step_2d(ctx, geom, dt, t_new, st)
+    sol, res = _solve_increment(matrix, b, c, "planar step", t_new)
+    x, y, kappa = _decode_rod(ctx, geom, st.x, sol)
     ends = [0, -1]
-    k_new[ends] = ctx.drive(t_new)[0][ends, None] * perp(geom.ttau[ends])
-    return x_new, y_new, k_new, sol[ctx.layout.p_off], res
+    kappa[ends] = ctx.drive(t_new)[0][ends, None] * perp(geom.ttau[ends])
+    new = RodState2D(t_new, x, kappa, y, sol[ctx.layout.p_off],
+                     st.rest_density)
+    return new, frozen_geometry(ctx.mesh, x), res
 
 
 def _planar_model(config, mesh):
@@ -87,12 +91,7 @@ def _planar_model(config, mesh):
     ctx = StepContext(mesh, config.scenario, 2)
 
     def step(st, gm, t, stats):
-        x, y, k, p, res = solve_step_2d(
-            ctx, gm, config.dt, t, st.x, st.kappa, st.rest_density,
-            config.residual_tol,
-        )
-        new = RodState2D(t, x, k, y, p, st.rest_density)
-        return new, frozen_geometry(mesh, x), res
+        return solve_step_2d(ctx, gm, config.dt, t, st)
 
     def measure(st, gm):
         alpha = ctx.drive(st.t)[0]

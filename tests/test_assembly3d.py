@@ -5,11 +5,14 @@ implementation with its own unknown ordering; agreement of the decoded
 solution fields pins down every coefficient of the step system.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rodfem.assembly3d import (
     DofLayout,
+    RodState3D,
     StepContext,
     _Triplets,
     _twist_law,
@@ -17,7 +20,7 @@ from rodfem.assembly3d import (
     frozen_geometry,
     solve_step,
 )
-from rodfem.errors import AssemblyError
+from rodfem.errors import AssemblyError, InvalidParameterError
 from rodfem.geometry import (
     averaged_tangent,
     element_tangents,
@@ -29,7 +32,7 @@ from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import (Scenario, builtin_scenario, compile_expr,
                               evaluate_field)
-from rodfem.solver2d import assemble_step_2d, solve_step_2d
+from rodfem.solver2d import RodState2D, assemble_step_2d, solve_step_2d
 
 from reference_dense import dense_from_band, ref_step_3d
 
@@ -70,14 +73,22 @@ def bent_test_state(n, seed=0, scale=0.15):
     return mesh, state
 
 
+def as_state(st):
+    """The spatial state of a `bent_test_state` dict, at rest otherwise."""
+    ne = st["s0"].size
+    return RodState3D(
+        t=0.0, x=st["x"], e1=st["e1"], e2=st["e2"], kappa=st["kappa"],
+        twist=st["gamma"], bend_moment=st["y"], spin=st["m"],
+        twist_moment=np.zeros(ne), tension=np.zeros(ne),
+        rest_density=st["s0"],
+    )
+
+
 def run_both(mesh, state, scenario, dt, t_new):
     """Solve the same step with the banded and the dense path."""
     ctx = StepContext(mesh, scenario, 3)
     geom = frozen_geometry(mesh, state["x"])
-    got = solve_step(
-        ctx, geom, dt, t_new, state["x"], state["e1"], state["e2"],
-        state["kappa"], state["gamma"], state["y"], state["m"], state["s0"],
-    )
+    got, _, _ = solve_step(ctx, geom, dt, t_new, as_state(state))
     mat = scenario.material
     if isinstance(scenario.drag, ResistiveForceDrag):
         k = scenario.drag.k
@@ -172,10 +183,11 @@ def test_straight_rest_state_is_stationary():
     ctx = StepContext(mesh, scn, 3)
     geom = frozen_geometry(mesh, data.x)
     n = mesh.n_vertices
-    res = solve_step(
-        ctx, geom, 0.1, 0.1, data.x, data.e1, data.e2,
-        np.zeros((n, 3)), np.zeros(n - 1), np.zeros((n, 3)), np.zeros(n), s,
-    )
+    res, _, _ = solve_step(ctx, geom, 0.1, 0.1, as_state({
+        "x": data.x, "e1": data.e1, "e2": data.e2, "kappa": np.zeros((n, 3)),
+        "gamma": np.zeros(n - 1), "y": np.zeros((n, 3)), "m": np.zeros(n),
+        "s0": s,
+    }))
     np.testing.assert_allclose(res.x, data.x, atol=1e-12)
     for field in (res.bend_moment, res.kappa, res.spin, res.twist_moment,
                   res.twist, res.tension):
@@ -196,15 +208,14 @@ def test_step_is_translation_equivariant():
 
 
 def step_case(model, n=8, seed=4, scale=0.15, owner=None):
-    """(context, frozen geometry, remaining step arguments) of one bent step
-    of either model.  owner is the StepContext to use, fresh when None."""
+    """(context, frozen geometry, (dt, t_new, previous state)) of one bent
+    step of either model.  owner is the StepContext to use, fresh when
+    None."""
     dt, t_new = 1.0 / 16.0, 0.25
     if model == "spatial":
         mesh, st = bent_test_state(n, seed=seed, scale=scale)
         ctx = owner or StepContext(mesh, builtin_scenario("worm3d"), 3)
-        return ctx, frozen_geometry(mesh, st["x"]), (
-            dt, t_new, st["x"], st["e1"], st["e2"], st["kappa"], st["gamma"],
-            st["y"], st["m"], st["s0"])
+        return ctx, frozen_geometry(mesh, st["x"]), (dt, t_new, as_state(st))
     rng = np.random.default_rng(seed)
     mesh = uniform_mesh(n)
     x = np.column_stack([
@@ -214,21 +225,22 @@ def step_case(model, n=8, seed=4, scale=0.15, owner=None):
     _, s = element_tangents(mesh, x)
     kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(n, 2))
     ctx = owner or StepContext(mesh, builtin_scenario("worm2d"), 2)
-    return ctx, frozen_geometry(mesh, x), (
-        dt, t_new, x, kappa, s * (1.0 + 0.05 * rng.uniform(size=n - 1)))
+    st = RodState2D(0.0, x, kappa, np.zeros((n, 2)), np.zeros(n - 1),
+                    s * (1.0 + 0.05 * rng.uniform(size=n - 1)))
+    return ctx, frozen_geometry(mesh, x), (dt, t_new, st)
 
 
 def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     """(matrix, b, c, position slots, previous positions, context) of one
     bent step; see `step_case`."""
     ctx, geom, args = step_case(model, n, seed, scale, owner)
+    dt, t_new, st = args
     if model == "spatial":
-        dt, t_new, twist = args[0], args[1], args[6]
         matrix, b, c = assemble_step(ctx, geom, *args,
-                                     *_twist_law(ctx, dt, t_new, twist))
+                                     *_twist_law(ctx, dt, t_new, st.twist))
     else:
         matrix, b, c = assemble_step_2d(ctx, geom, *args)
-    return matrix, b, c, ctx.layout.x_slots, args[2], ctx
+    return matrix, b, c, ctx.layout.x_slots, st.x, ctx
 
 
 @pytest.mark.parametrize("model", ["spatial", "planar"])
@@ -257,9 +269,8 @@ def test_step_band_is_eleven_wide_in_space_and_six_in_the_plane():
     mesh, st = bent_test_state(512)
     ctx = StepContext(mesh, builtin_scenario("relaxation"), 3)
     matrix, _, _ = assemble_step(
-        ctx, frozen_geometry(mesh, st["x"]), 1.0 / 16.0, 0.0625, st["x"],
-        st["e1"], st["e2"], st["kappa"], st["gamma"], st["y"], st["m"],
-        st["s0"], *_twist_law(ctx, 1.0 / 16.0, 0.0625, st["gamma"]),
+        ctx, frozen_geometry(mesh, st["x"]), 1.0 / 16.0, 0.0625, as_state(st),
+        *_twist_law(ctx, 1.0 / 16.0, 0.0625, st["gamma"]),
     )
     assert matrix.data.shape == (34, 4600)
 
@@ -291,8 +302,7 @@ def test_assembly_with_another_runs_pattern_is_rejected():
         small.layout.puts
     with pytest.raises(AssemblyError, match="band pattern"):
         assemble_step(
-            ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, st["x"], st["e1"],
-            st["e2"], st["kappa"], st["gamma"], st["y"], st["m"], st["s0"],
+            ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, as_state(st),
             *_twist_law(ctx, 0.1, 0.1, st["gamma"]),
         )
 
@@ -317,11 +327,9 @@ def test_decoded_curvature_is_the_curvature_of_the_solved_positions(model):
     # curvature identity w_i·k_i = a_r·(x_{i+1} - x_i) - a_l·(x_i - x_{i-1})
     # of the solved positions, with the step's frozen coefficients
     ctx, geom, args = step_case(model)
-    if model == "spatial":
-        res = solve_step(ctx, geom, *args)
-        x_new, kappa = res.x, res.kappa
-    else:
-        x_new, _, kappa, _, _ = solve_step_2d(ctx, geom, *args)
+    solver = solve_step if model == "spatial" else solve_step_2d
+    res, _, _ = solver(ctx, geom, *args)
+    x_new, kappa = res.x, res.kappa
     hs = ctx.mesh.h * geom.s
     dx = np.diff(x_new, axis=0)
     want = (dx[1:] / hs[1:, None] - dx[:-1] / hs[:-1, None]) / geom.w[1:-1, None]
@@ -333,8 +341,9 @@ def test_decoded_twist_moment_satisfies_the_twist_law():
     # the step eliminates the twist moment; its decode must satisfy
     # z = (C + D/dt)·twist - C·gamma0 - (D/dt)·twist_old per element
     ctx, geom, args = step_case("spatial")
-    dt, t_new, twist_old = args[0], args[1], args[6]
-    res = solve_step(ctx, geom, *args)
+    dt, t_new, st = args
+    twist_old = st.twist
+    res, _, _ = solve_step(ctx, geom, *args)
     C, D = ctx.twist_stiffness, ctx.twist_viscosity
     gamma0 = evaluate_field(ctx.scenario.twist_pref, ctx.mesh.midpoints, t_new)
     terms = [res.twist_moment, (C + D / dt) * res.twist, C * gamma0,
@@ -367,3 +376,22 @@ def test_drive_is_read_only_and_kept_for_its_time(model):
     assert later is not alpha
     np.testing.assert_array_equal(
         later, evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u, 0.5))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("name, key, where", [
+    ("kappa1_pref", "alpha0", "vertex 3 (u=0.428571)"),
+    ("kappa2_pref", "beta0", "vertex 3 (u=0.428571)"),
+    ("twist_pref", "gamma0", "element 3 (u=0.5)"),
+])
+def test_drive_names_a_non_finite_field_its_time_and_first_bad_place(
+        name, key, where):
+    # finite on [0, 0.4], infinite past it: vertex 3 of 8 is the first
+    # vertex, midpoint 3 the first element midpoint beyond 0.4
+    scn = dataclasses.replace(rest_scenario(),
+                              **{name: compile_expr("1/step(u, 0, 0.4)")})
+    ctx = StepContext(uniform_mesh(8), scn, 3)
+    with pytest.raises(InvalidParameterError) as err:
+        ctx.drive(0.25)
+    assert str(err.value) == (f"scenario.{key} ({name}) is not finite at "
+                              f"t=0.25: inf at {where}")

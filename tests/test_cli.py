@@ -98,6 +98,17 @@ def test_build_scenario_requires_name_and_fields(tmp_path):
     assert "scenario.alpha0" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["alpha0", "beta0", "gamma0"])
+def test_custom_scenario_expression_errors_name_their_key(tmp_path, key,
+                                                          capsys):
+    fields = {"alpha0": "0", key: "sin("}
+    cfg = write_cfg(tmp_path, "scenario.name = custom\n" + "".join(
+        f"scenario.{k} = {v}\n" for k, v in fields.items()))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario.{key}: could not parse expression 'sin('" in err
+
+
 def test_build_scenario_material_profile_expression(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, """
         scenario.name = custom
@@ -149,37 +160,29 @@ def test_run_planar_engine_and_kymograph(tmp_path):
     assert head[:4] == ["u", "x", "y", "z"]
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     bad_key = write_cfg(tmp_path, "scenario.nam = relaxation", "a.cfg")
     assert main(["run", "--config", bad_key, "--out", str(tmp_path)]) == 2
     bad_name = write_cfg(tmp_path, "scenario.name = squid", "b.cfg")
     assert main(["run", "--config", bad_name, "--out", str(tmp_path)]) == 2
+    # the residual tolerance is no config key
+    tol_key = write_cfg(tmp_path, "scenario.name = relaxation\n"
+                        "run.residual_tol = 1e-8", "e.cfg")
+    assert main(["run", "--config", tol_key, "--out", str(tmp_path)]) == 2
     # impossible residual demand -> numerical failure
     doomed = write_cfg(tmp_path, """
         scenario.name = relaxation
         run.t_final = 2
-        run.residual_tol = 1e-30
     """, "c.cfg")
-    assert main(["run", "--config", doomed, "--out", str(tmp_path)]) == 3
+    with monkeypatch.context() as patch:
+        patch.setattr("rodfem.assembly3d.RESIDUAL_TOL", 1e-30)
+        assert main(["run", "--config", doomed, "--out", str(tmp_path)]) == 3
     missing = str(tmp_path / "none.cfg")
     assert main(["run", "--config", missing, "--out", str(tmp_path)]) == 2
     good = write_cfg(tmp_path, "scenario.name = relaxation\nrun.t_final = 2",
                      "d.cfg")
     assert main(["converge", "--config", good, "--out", str(tmp_path / "x"),
                  "--levels", "3..1"]) == 2
-
-
-@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
-def test_bad_residual_tolerance_is_a_config_error(tmp_path, tol, capsys):
-    cfg = write_cfg(tmp_path, f"""
-        scenario.name = relaxation
-        run.t_final = 2
-        run.residual_tol = {tol}
-    """)
-    out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert "residual_tol" in capsys.readouterr().err
-    assert not out.exists()  # rejected before any step or output
 
 
 def test_converge_writes_table_with_rates(tmp_path):
@@ -238,6 +241,23 @@ def test_refinement_studies_keep_no_snapshots(tmp_path, monkeypatch, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                  "--levels", "0..1"]) == 0
     assert kept == [2, 2]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("name,dimension", [("worm2d", 2), ("relaxation", 3)])
+def test_non_finite_preferred_curvature_is_a_config_error(tmp_path, name,
+                                                          dimension, capsys):
+    cfg = write_cfg(tmp_path, f"""
+        scenario.name = {name}
+        run.dimension = {dimension}
+        run.dt = 0.25
+        run.t_final = 1
+        scenario.spin_up = 0
+        scenario.alpha0 = 1/u
+    """)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.alpha0" in err and "t=0" in err and "vertex 0" in err
 
 
 @pytest.mark.parametrize("line,key", [

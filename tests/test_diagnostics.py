@@ -16,7 +16,6 @@ from rodfem.diagnostics import (
     elastic_energy,
     eoc,
     length_error,
-    write_convergence_table,
     write_diagnostics,
     write_kymograph,
     write_snapshot,
@@ -207,24 +206,6 @@ def test_table_cells_ints_none_and_floats(tmp_path):
     assert path.read_bytes() == b"i,x\r\n0,\r\n1,0.33333333333333331\r\n"
     with pytest.raises(ValueError):
         write_table(path, ["i", "x"], [[1, 2], [0.5]])
-
-
-def test_convergence_table_round_trip(tmp_path):
-    rows = [
-        {"dt": 1.0, "n_vertices": 16, "max_f1": 3.4e-2, "eoc": None,
-         "max_f2": 1e-15, "max_f2_increment": 1e-16},
-        {"dt": 0.25, "n_vertices": 32, "max_f1": 5.6e-3, "eoc": 1.30952,
-         "max_f2": 4e-15, "max_f2_increment": 2e-16},
-    ]
-    path = tmp_path / "table.csv"
-    write_convergence_table(path, rows)
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert got[0] == ["dt", "n_vertices", "max_f1", "eoc", "max_f2",
-                      "max_f2_increment"]
-    assert got[1][3] == ""  # no rate on the first level
-    assert float(got[2][3]) == pytest.approx(1.30952)
-    assert got[2][1] == "32"
 
 
 def test_kymograph_tables(tmp_path):

@@ -123,7 +123,7 @@ def test_one_refinement_round_is_componentwise_backward_stable(monkeypatch):
     mesh = uniform_mesh(cfg.n_vertices)
     ctx = StepContext(mesh, cfg.scenario, 2)
     matrix, b, c = assemble_step_2d(ctx, frozen_geometry(mesh, st.x), dt, dt,
-                                    st.x, st.kappa, st.rest_density)
+                                    st)
     lu = factorize(matrix)
     calls = {"backsolve": 0, "matvec": 0}
     for cls, name in ((BandedLU, "backsolve"), (BandedMatrix, "matvec")):
