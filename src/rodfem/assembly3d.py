@@ -2,20 +2,21 @@
 step system that the spatial and the planar model share.
 
 The spatial step solves simultaneously for position, bending moment,
-tangential spin rate, twist density, and line tension: 9 unknowns per
-vertex, 5 in the plane.  All geometric coefficients (tangents, length
-elements, quadrature weights, drag matrices) are frozen at the previous
-step, which makes the system linear.  The curvature and the twist moment
-are not unknowns of the solve: with the lumped weights the curvature
-identity is diagonal in the curvature and the twist law in the twist
-moment, so both are substituted into the other rows and recovered from the
-solution afterwards.  Unknowns are interleaved along the rod so the matrix
-is banded with a resolution-independent bandwidth; each row is put in the
-slot of the unknown it pivots on (see `DofLayout`), which keeps that band
-11 wide on either side in space and 6 in the plane.  The momentum balance,
+twist density, and line tension: 8 unknowns per vertex, 5 in the plane.
+All geometric coefficients (tangents, length elements, quadrature weights,
+drag matrices) are frozen at the previous step, which makes the system
+linear.  The curvature, the twist moment and the tangential spin rate are
+not unknowns of the solve: with the lumped weights the curvature identity
+is diagonal in the curvature, the twist law in the twist moment and the
+angular-momentum balance in the spin, so each is substituted into the
+other rows and recovered from the solution afterwards.  Unknowns are
+interleaved along the rod so the matrix is banded with a
+resolution-independent bandwidth; each row is put in the slot of the
+unknown it pivots on (see `DofLayout`), which keeps that band 10 wide on
+either side in space and 6 in the plane.  The momentum balance,
 the bending law with the curvature substituted, and inextensibility are put
 once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
-those rows alone, and the spatial step adds spin and twist to them.  Both
+those rows alone, and the spatial step adds the twist to them.  Both
 models number their unknowns with one `DofLayout` and hold their per-run
 constants in one `StepContext`, each parameterised by the dimension.
 
@@ -23,7 +24,7 @@ Each step maps a rod state to the next one.  A spatial step solves the
 implicit banded system with geometry frozen at the previous state, then
 carries the director pair forward by two exact rotations: one taking the
 old averaged tangent to the new one, one about the new tangent by the
-solved spin rate times the step size.  A step whose solve leaves a relative
+decoded spin rate times the step size.  A step whose solve leaves a relative
 residual above `RESIDUAL_TOL` raises `SolverError`.
 """
 
@@ -220,23 +221,23 @@ class DofLayout:
     """Interleaved unknown numbering of one step, for dim = 2 or 3.
 
     Each vertex block holds position (dim slots), then — at interior
-    vertices only — bending moment (dim), then, in space only, the spin
-    rate (1).  Boundary bending moments vanish, so they do not enter the
-    system.  Element blocks sit between consecutive vertex blocks: twist
-    and tension in space, the tension alone in the plane.  That is a stride
-    of 9 slots in space and 5 in the plane, and 9n - 8 or 5n - 5 unknowns
-    for n vertices; curvature and twist moment are eliminated from the
-    step (see `_rod_rows`, `assemble_step`).  x_slots and y_slots list the
+    vertices only — bending moment (dim).  Boundary bending moments
+    vanish, so they do not enter the system.  Element blocks sit between
+    consecutive vertex blocks: twist and tension in space, the tension
+    alone in the plane.  That is a stride of 8 slots in space and 5 in
+    the plane, and 8n - 8 or 5n - 5 unknowns for n vertices;
+    curvature, twist moment and spin are eliminated from the step (see
+    `_rod_rows`, `_twist_law`, `_spin_law`).  x_slots and y_slots list the
     dim slots of each vertex's position and of each interior vertex's
-    bending moment; m_off and g_off (spin, twist) exist in space only.
+    bending moment; g_off (twist) exists in space only.
 
     Rows are put where they pivot, which gives the narrowest band: at an
     interior vertex the bending law, whose largest coefficients sit on the
     vertex's position, takes the position slots, and the momentum balance
     takes the bending-moment slots.  The end vertices have no bending
-    moment, so their momentum rows keep the position slots.  The spin,
-    twist and tension rows keep their unknown's slot.  That is kl = ku = 11
-    in space and 6 in the plane for n >= 4 vertices.  mom_off and law_off
+    moment, so their momentum rows keep the position slots.  The twist
+    and tension rows keep their unknown's slot.  That is kl = ku = 10 in
+    space and 6 in the plane for n >= 4 vertices.  mom_off and law_off
     are the first rows of each vertex's momentum balance and each interior
     vertex's bending law, mom_rows and law_rows all dim of them.
 
@@ -250,7 +251,6 @@ class DofLayout:
     x_off: np.ndarray = field(init=False, repr=False)
     y_off: np.ndarray = field(init=False, repr=False)
     p_off: np.ndarray = field(init=False, repr=False)
-    m_off: np.ndarray = field(init=False, default=None, repr=False)
     g_off: np.ndarray = field(init=False, default=None, repr=False)
     x_slots: np.ndarray = field(init=False, repr=False)   # (n, dim)
     y_slots: np.ndarray = field(init=False, repr=False)   # (n - 2, dim)
@@ -267,18 +267,15 @@ class DofLayout:
         n, dim = self.n_vertices, self.dim
         if n < 3:
             raise AssemblyError(f"need at least 3 vertices, got {n}")
-        spin = 1 if dim == 3 else 0             # spin slots per vertex
         per_element = 2 if dim == 3 else 1
-        stride = 2 * dim + spin + per_element
+        stride = 2 * dim + per_element
         # the boundary vertex 0 has no bending-moment slots
         x_off = stride * np.arange(n, dtype=np.int64) - dim
         x_off[0] = 0
         y_off = np.full(n, -1, dtype=np.int64)
         y_off[1:-1] = x_off[1:-1] + dim
-        element = stride * np.arange(n - 1, dtype=np.int64) + dim + spin
-        if spin:
-            self.m_off = x_off + 2 * dim
-            self.m_off[[0, -1]] = x_off[[0, -1]] + dim
+        element = stride * np.arange(n - 1, dtype=np.int64) + dim
+        if dim == 3:
             self.g_off = element
         self.x_off = x_off
         self.y_off = y_off
@@ -293,7 +290,7 @@ class DofLayout:
         self.law_off = x_off[1:-1]
         self.mom_rows = self.mom_off[:, None] + d
         self.law_rows = self.law_off[:, None] + d
-        self.ndof = stride * (n - 1) + spin
+        self.ndof = stride * (n - 1)
 
 
 def _read_only(a):
@@ -346,15 +343,18 @@ class StepContext:
         planar context evaluates alpha only and returns None for the other
         two.  The fields of the last t are kept and returned again.  A
         field with a non-finite value raises InvalidParameterError naming
-        the field, t and the first vertex or element where it is not finite.
+        the field, t and the first vertex or element where it is not finite;
+        numpy's floating-point warnings, which name none of these, are
+        silenced while the fields are evaluated.
         """
         t = float(t)
         if t != self._drive_t:
             beta = gamma0 = None
-            alpha = self._field("kappa1_pref", "alpha0", t)
-            if self.dim == 3:
-                beta = self._field("kappa2_pref", "beta0", t)
-                gamma0 = self._field("twist_pref", "gamma0", t)
+            with np.errstate(all="ignore"):
+                alpha = self._field("kappa1_pref", "alpha0", t)
+                if self.dim == 3:
+                    beta = self._field("kappa2_pref", "beta0", t)
+                    gamma0 = self._field("twist_pref", "gamma0", t)
             self._drive_t, self._drive = t, (alpha, beta, gamma0)
         return self._drive
 
@@ -485,26 +485,47 @@ def _twist_law(ctx, dt, t_new, twist):
     return C_e + D_e / dt, -C_e * gamma0 - (D_e / dt) * twist
 
 
-def assemble_step(ctx, geom, dt, t_new, st, zc, z0):
+def _spin_law(ctx, geom, st, z0):
+    """(rw, sb) of the tangential angular-momentum balance at each vertex.
+
+    With the twist moment z = zc·g + z0 of `_twist_law`, the balance
+    -rw_i·m_i + zc_i·g_i - zc_{i-1}·g_{i-1} = sb_i, where rw = r·w is the
+    rotary drag times the vertex weight and
+    sb_i = -w_i·y_i·(ttau_i × kappa_i) - z0_i + z0_{i-1} is formed from the
+    previous state, is diagonal in the spin m.  So the step substitutes
+    m_i = (zc_i·g_i - zc_{i-1}·g_{i-1} - sb_i) / rw_i into the twist rows
+    and the decode recovers m from the solved twist g; an end vertex has
+    only its one element's terms.
+    """
+    rw = ctx.scenario.material.rotary_drag * geom.w
+    sb = -geom.w * np.einsum("nd,nd->n", st.bend_moment,
+                             cross(geom.ttau, st.kappa))
+    sb[:-1] -= z0
+    sb[1:] += z0
+    return rw, sb
+
+
+def assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb):
     """Step matrix A, right-hand side b, and c = b - A·base for one step.
 
     st is the previous step's state, whose rest density the constraint rows
     pin the new positions to.  base holds st.x in the position slots and
     zero elsewhere.  The twist moment z = zc·g + z0 of the step's
-    `_twist_law` is substituted into the momentum and spin rows: its columns
-    become zc times the twist's, and z0 moves into b and c.
+    `_twist_law` is substituted into the momentum rows: its columns become
+    zc times the twist's, and z0 moves into b and c.  The spin of the
+    step's `_spin_law` (rw, sb) is substituted into the twist rows.
     """
     mesh = ctx.mesh
     lay = ctx.layout
-    n, ne = mesh.n_vertices, mesh.n_elements
-    tau, ttau, w = geom.tau, geom.ttau, geom.w
+    n = mesh.n_vertices
+    tau, ttau = geom.tau, geom.ttau
     hs = mesh.h * geom.s
 
     x, kappa = st.x, st.kappa
     kbar = 0.5 * (kappa[:-1] + kappa[1:])
     tk = cross(tau, kbar)                                       # (ne,3)
 
-    xo, mo, go = lay.x_off, lay.m_off, lay.g_off
+    xo, go = lay.x_off, lay.g_off
     ii = slice(1, n - 1)        # interior vertices
     b = np.zeros(lay.ndof)
 
@@ -517,22 +538,17 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0):
     m.put_vec_rows(lay.mom_off[:-1], go, tzc)
     m.put_vec_rows(lay.mom_off[1:], go, -tzc)
 
-    # -- tangential angular momentum at every vertex (spin rows)
-    m.put(mo, mo, -ctx.scenario.material.rotary_drag * w)
-    m.put(mo[:-1], go, zc)
-    m.put(mo[1:], go, -zc)
-    b[mo] = -w * np.einsum("nd,nd->n", st.bend_moment, cross(ttau, kappa))
-    b[mo[:-1]] -= z0
-    b[mo[1:]] += z0
-
-    # -- twist transport per element (twist rows)
-    m.put(go, go, hs / dt)
-    m.put(go, mo[:-1], np.ones(ne))
-    m.put(go, mo[1:], -np.ones(ne))
+    # -- twist transport per element (twist rows), hs·g/dt + m_e - m_{e+1},
+    # with the spin of the element's two vertices given by the twist
+    # through the step's `_spin_law`
+    inv = 1.0 / rw
+    m.put(go, go, hs / dt + zc * (inv[:-1] + inv[1:]))
+    m.put(go[1:], go[:-1], -zc[:-1] * inv[1:-1])
+    m.put(go[:-1], go[1:], -zc[1:] * inv[1:-1])
     m.put_vec_cols(go, xo[1:], tk / dt)
     m.put_vec_cols(go, xo[:-1], -tk / dt)
-    twist_rate = hs * st.twist / dt
-    b[go] = twist_rate + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
+    c_twist = hs * st.twist / dt + sb[:-1] * inv[:-1] - sb[1:] * inv[1:]
+    b[go] = c_twist + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
 
     # -- the rows the planar model shares, bent toward alpha e1 + beta e2
     A_i = ctx.bend_stiffness[ii]
@@ -542,7 +558,7 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0):
     gyro = (B_i * st.spin[ii])[:, None, None] * _cross_matrices(ttau[ii])
     c = _rod_rows(m, b, ctx, geom, dt, x, kappa, st.rest_density,
                   A_i[:, None] * pref, gyro)
-    c[go] = twist_rate
+    c[go] = c_twist
     # the forces of z0 are all there is of c in the momentum rows
     f0 = np.zeros((n, 3))
     f0[:-1] -= tz0
@@ -559,7 +575,8 @@ def solve_step(ctx, geom, dt, t_new, st):
     state's `FrozenGeometry` and the step's relative residual.
     """
     zc, z0 = _twist_law(ctx, dt, t_new, st.twist)
-    matrix, b, c = assemble_step(ctx, geom, dt, t_new, st, zc, z0)
+    rw, sb = _spin_law(ctx, geom, st, z0)
+    matrix, b, c = assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb)
     lay = ctx.layout
     sol, res = _solve_increment(matrix, b, c, "step", t_new)
 
@@ -569,7 +586,12 @@ def solve_step(ctx, geom, dt, t_new, st):
     ends = [0, -1]
     kappa[ends] = (alpha[ends, None] * st.e1[ends]
                    + beta[ends, None] * st.e2[ends])
-    spin, twist = sol[lay.m_off], sol[lay.g_off]
+    twist = sol[lay.g_off]
+    zg = zc * twist
+    spin = -sb
+    spin[:-1] += zg
+    spin[1:] -= zg
+    spin /= rw
     gnew = frozen_geometry(ctx.mesh, x)
     e1, e2 = transport_frame(st.e1, st.e2, geom.ttau, gnew.ttau, dt * spin)
     new = RodState3D(

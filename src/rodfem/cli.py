@@ -323,11 +323,12 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     scenario = build_scenario(cfg)
     sim = build_sim_config(cfg, scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = _drive(sim)
     mesh = uniform_mesh(sim.n_vertices)
+    # created after the run, so a rejected run leaves no empty directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     write_diagnostics(out_dir / "diagnostics.csv", result.records)
     outputs = {"diagnostics": "diagnostics.csv", "snapshots": []}

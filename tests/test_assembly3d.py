@@ -9,12 +9,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from rodfem.assembly3d import (
     DofLayout,
     RodState3D,
     StepContext,
     _Triplets,
+    _spin_law,
     _twist_law,
     assemble_step,
     frozen_geometry,
@@ -29,7 +32,7 @@ from rodfem.geometry import (
     vertex_curvature,
 )
 from rodfem.initial import straight_rod
-from rodfem.materials import IsotropicDrag, ResistiveForceDrag
+from rodfem.materials import IsotropicDrag, MaterialParams, ResistiveForceDrag
 from rodfem.scenarios import (Scenario, builtin_scenario, compile_expr,
                               evaluate_field)
 from rodfem.solver2d import RodState2D, assemble_step_2d, solve_step_2d
@@ -108,10 +111,10 @@ def run_both(mesh, state, scenario, dt, t_new):
 
 
 def test_unknown_layout_is_a_tight_permutation():
-    # 9 unknowns per vertex and element in space, 5 in the plane; the end
-    # vertices have no bending-moment slots, and curvature and twist moment
-    # have none at all: the step eliminates them
-    for dim, stride, missing in ((3, 9, 8), (2, 5, 5)):
+    # 8 unknowns per vertex and element in space, 5 in the plane; the end
+    # vertices have no bending-moment slots, and curvature, twist moment
+    # and spin have none at all: the step eliminates them
+    for dim, stride, missing in ((3, 8, 8), (2, 5, 5)):
         for n in (3, 4, 9, 16):
             lay = DofLayout(n, dim)
             assert lay.ndof == stride * n - missing
@@ -122,19 +125,19 @@ def test_unknown_layout_is_a_tight_permutation():
                       for d in range(dim)]
             slots += list(lay.p_off)
             if dim == 3:
-                slots += list(lay.m_off) + list(lay.g_off)
+                slots += list(lay.g_off)
             else:
-                assert lay.m_off is lay.g_off is None
+                assert lay.g_off is None
             assert sorted(slots) == list(range(lay.ndof))
             assert not any(hasattr(lay, name)
-                           for name in ("k_off", "k_slots", "z_off"))
+                           for name in ("k_off", "k_slots", "z_off", "m_off"))
             # the rows are a permutation too: an interior vertex's
             # momentum rows sit in its bending-moment slots and its
             # bending-law rows in its position slots
             rows = list(lay.mom_rows.ravel()) + list(lay.law_rows.ravel())
             rows += list(lay.p_off)
             if dim == 3:
-                rows += list(lay.m_off) + list(lay.g_off)
+                rows += list(lay.g_off)
             assert sorted(rows) == list(range(lay.ndof))
             assert np.array_equal(lay.mom_rows[1:-1], lay.y_slots)
             assert np.array_equal(lay.mom_rows[[0, -1]], lay.x_slots[[0, -1]])
@@ -175,6 +178,39 @@ def test_step_matches_dense_reference_anisotropic():
     np.testing.assert_allclose(got.tension, want["p"], atol=1e-10)
 
 
+_viscosity = hst.one_of(hst.just(0.0), hst.floats(1e-3, 2.0))
+_spd_drag = hst.lists(hst.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+    lambda a: IsotropicDrag(np.reshape(a, (3, 3)) @ np.reshape(a, (3, 3)).T
+                            + 0.1 * np.eye(3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.integers(4, 16), dt=hst.sampled_from([1.0 / 64.0, 1.0 / 16.0, 0.2]),
+       log_drag=hst.floats(-4.0, 4.0), twist_stiffness=hst.floats(0.2, 3.0),
+       twist_viscosity=_viscosity, bend_viscosity=_viscosity,
+       drag=hst.one_of(_spd_drag,
+                       hst.floats(1.0, 60.0).map(ResistiveForceDrag)),
+       seed=hst.integers(0, 2**16))
+def test_random_step_matches_dense_reference(n, dt, log_drag, twist_stiffness,
+                                             twist_viscosity, bend_viscosity,
+                                             drag, seed):
+    # the dense oracle keeps every eliminated unknown (curvature, twist
+    # moment, spin) in its solve, so it checks each elimination over the
+    # whole range of rotary drag, down to where the spin dominates the twist
+    mesh, state = bent_test_state(n, seed=seed)
+    mat = MaterialParams(1.0, bend_viscosity, twist_stiffness,
+                         twist_viscosity, rotary_drag=10.0 ** log_drag)
+    scn = dataclasses.replace(builtin_scenario("relaxation"), material=mat,
+                              drag=drag)
+    got, want = run_both(mesh, state, scn, dt=dt, t_new=3.0 * dt)
+    for name, key in (("x", "x"), ("bend_moment", "y"), ("kappa", "kappa"),
+                      ("spin", "m"), ("twist_moment", "z"), ("twist", "gamma"),
+                      ("tension", "p")):
+        tol = 1e-10 * max(1.0, np.abs(want[key]).max())
+        np.testing.assert_allclose(getattr(got, name), want[key], rtol=0,
+                                   atol=tol, err_msg=name)
+
+
 def test_straight_rest_state_is_stationary():
     mesh = uniform_mesh(9)
     data = straight_rod(mesh)
@@ -207,6 +243,12 @@ def test_step_is_translation_equivariant():
     np.testing.assert_allclose(got2.kappa, got.kappa, atol=1e-10)
 
 
+def step_laws(ctx, geom, dt, t_new, st):
+    """(zc, z0, rw, sb) of one spatial step: the twist and the spin law."""
+    zc, z0 = _twist_law(ctx, dt, t_new, st.twist)
+    return (zc, z0, *_spin_law(ctx, geom, st, z0))
+
+
 def step_case(model, n=8, seed=4, scale=0.15, owner=None):
     """(context, frozen geometry, (dt, t_new, previous state)) of one bent
     step of either model.  owner is the StepContext to use, fresh when
@@ -237,7 +279,7 @@ def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     dt, t_new, st = args
     if model == "spatial":
         matrix, b, c = assemble_step(ctx, geom, *args,
-                                     *_twist_law(ctx, dt, t_new, st.twist))
+                                     *step_laws(ctx, geom, *args))
     else:
         matrix, b, c = assemble_step_2d(ctx, geom, *args)
     return matrix, b, c, ctx.layout.x_slots, st.x, ctx
@@ -255,24 +297,24 @@ def test_assembled_increment_rhs_is_b_minus_a_base(model):
     assert np.linalg.norm(c - want) <= 1e-13 * np.linalg.norm(b)
 
 
-def test_step_band_is_eleven_wide_in_space_and_six_in_the_plane():
+def test_step_band_is_ten_wide_in_space_and_six_in_the_plane():
     # each row sits where it pivots, so the band is as narrow as the
     # vertex blocks allow; a rod of 3 vertices has no full interior block
-    for model, ns, narrow in (("spatial", (3, 4, 16, 512), (8, 11)),
+    for model, ns, narrow in (("spatial", (3, 4, 16, 512), (8, 10)),
                               ("planar", (3, 4, 16, 128), (4, 6))):
         for n in ns:
             matrix, *_ = assembled_step(model, n=n)
             full = narrow[1]
             want = narrow if n == 3 else (full, full)
             assert (matrix.kl, matrix.ku) == want, (model, n)
-    # the relaxation benchmark's step: 4600 unknowns in 34 band rows
+    # the relaxation benchmark's step: 4088 unknowns in 31 band rows
     mesh, st = bent_test_state(512)
     ctx = StepContext(mesh, builtin_scenario("relaxation"), 3)
-    matrix, _, _ = assemble_step(
-        ctx, frozen_geometry(mesh, st["x"]), 1.0 / 16.0, 0.0625, as_state(st),
-        *_twist_law(ctx, 1.0 / 16.0, 0.0625, st["gamma"]),
-    )
-    assert matrix.data.shape == (34, 4600)
+    geom = frozen_geometry(mesh, st["x"])
+    args = (1.0 / 16.0, 0.0625, as_state(st))
+    matrix, _, _ = assemble_step(ctx, geom, *args,
+                                 *step_laws(ctx, geom, *args))
+    assert matrix.data.shape == (31, 4088)
 
 
 @pytest.mark.parametrize("n", [3, 4, 8])
@@ -300,11 +342,10 @@ def test_assembly_with_another_runs_pattern_is_rejected():
     lay = ctx.layout
     lay.kl, lay.ku, lay.puts = small.layout.kl, small.layout.ku, \
         small.layout.puts
+    geom = frozen_geometry(mesh, st["x"])
+    args = (0.1, 0.1, as_state(st))
     with pytest.raises(AssemblyError, match="band pattern"):
-        assemble_step(
-            ctx, frozen_geometry(mesh, st["x"]), 0.1, 0.1, as_state(st),
-            *_twist_law(ctx, 0.1, 0.1, st["gamma"]),
-        )
+        assemble_step(ctx, geom, *args, *step_laws(ctx, geom, *args))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -354,6 +395,27 @@ def test_decoded_twist_moment_satisfies_the_twist_law():
     assert np.abs(defect).max() <= 1e-13 * scale
 
 
+def test_decoded_spin_satisfies_the_angular_momentum_balance():
+    # the step eliminates the spin; its decode must satisfy
+    # -r·w_i·m_i + z_i - z_{i-1} = -w_i·y_i·(ttau_i × kappa_i) at every
+    # vertex, with the solved twist moment z, zero beyond the ends, and the
+    # previous state's bending moment and curvature
+    ctx, geom, args = step_case("spatial")
+    _, _, st = args
+    res, _, _ = solve_step(ctx, geom, *args)
+    z = np.zeros(ctx.mesh.n_vertices + 1)
+    z[1:-1] = res.twist_moment
+    w = geom.w
+    terms = [-ctx.scenario.material.rotary_drag * w * res.spin, z[1:], z[:-1],
+             w * np.einsum("nd,nd->n", st.bend_moment,
+                           np.cross(geom.ttau, st.kappa))]
+    defect = terms[0] + terms[1] - terms[2] + terms[3]
+    scale = max(np.abs(t).max() for t in terms)
+    assert np.abs(res.spin).max() > 1e-3 * np.abs(st.spin).max()
+    assert np.abs(terms[0]).max() > 1e-3 * scale
+    assert np.abs(defect).max() <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("model", ["spatial", "planar"])
 def test_drive_is_read_only_and_kept_for_its_time(model):
     ctx, *_ = step_case(model)
@@ -378,7 +440,7 @@ def test_drive_is_read_only_and_kept_for_its_time(model):
         later, evaluate_field(ctx.scenario.kappa1_pref, ctx.mesh.u, 0.5))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, key, where", [
     ("kappa1_pref", "alpha0", "vertex 3 (u=0.428571)"),
     ("kappa2_pref", "beta0", "vertex 3 (u=0.428571)"),

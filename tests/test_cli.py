@@ -243,7 +243,7 @@ def test_refinement_studies_keep_no_snapshots(tmp_path, monkeypatch, command):
     assert kept == [2, 2]
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name,dimension", [("worm2d", 2), ("relaxation", 3)])
 def test_non_finite_preferred_curvature_is_a_config_error(tmp_path, name,
                                                           dimension, capsys):
@@ -255,9 +255,11 @@ def test_non_finite_preferred_curvature_is_a_config_error(tmp_path, name,
         scenario.spin_up = 0
         scenario.alpha0 = 1/u
     """)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "scenario.alpha0" in err and "t=0" in err and "vertex 0" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line,key", [

@@ -242,7 +242,7 @@ def test_tiny_rods_solve_below_the_band_height(model, n):
     assert np.all(np.isfinite(res.final_state.x))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model, preset", [("spatial", "relaxation"),
                                            ("planar", "worm2d")])
 def test_a_non_finite_preferred_curvature_is_rejected_by_name(model, preset):
