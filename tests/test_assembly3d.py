@@ -276,7 +276,7 @@ def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):
     """(matrix, b, c, position slots, previous positions, context) of one
     bent step; see `step_case`."""
     ctx, geom, args = step_case(model, n, seed, scale, owner)
-    dt, t_new, st = args
+    st = args[2]
     if model == "spatial":
         matrix, b, c = assemble_step(ctx, geom, *args,
                                      *step_laws(ctx, geom, *args))
