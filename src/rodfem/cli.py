@@ -367,9 +367,6 @@ def _refinement_study(args, table, level_row):
     cfg = parse_config(args.config)
     scenario = build_scenario(cfg)
     lo, hi = _parse_levels(args.levels)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows, timings = [], {}
     for level in range(lo, hi + 1):
         dt, n = _level_params(level)
@@ -377,6 +374,9 @@ def _refinement_study(args, table, level_row):
         sim = build_sim_config(cfg, scenario, n_vertices=n, dt=dt,
                                snapshot_stride=0)
         rows.append(level_row(sim, level, timings))
+    # created after the levels, so a rejected study leaves no empty directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, args, cfg, {"table": table}, timings)
     return cfg, scenario, f"{lo}..{hi}", out_dir, rows
 

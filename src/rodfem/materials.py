@@ -33,7 +33,9 @@ def as_profile(value: Profile) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _sample(profile, u, name, strict_positive):
-    vals = np.asarray(as_profile(profile)(u), dtype=float)
+    # numpy's warnings (1/0, overflow) name no field; the checks below do
+    with np.errstate(all="ignore"):
+        vals = np.asarray(as_profile(profile)(u), dtype=float)
     if vals.shape != np.asarray(u).shape:
         vals = np.broadcast_to(vals, np.asarray(u).shape).copy()
     if not np.all(np.isfinite(vals)):

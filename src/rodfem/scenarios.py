@@ -4,14 +4,17 @@ A scenario bundles the three preferred fields (two bending components in the
 director frame and one twist density), the material, the drag model, and the
 protocol constants (spin-up time, rod length).
 
-Custom scenarios are definable from plain strings in u and t through a small
-arithmetic expression language (see compile_expr) — enough for polynomial
-amplitudes, travelling sinusoids, and window indicators; no user code is ever
-executed.
+Custom fields are plain strings in u and t (see compile_expr): polynomial
+amplitudes, travelling sinusoids, window indicators.  Python's `ast` module
+parses them, so grammar and precedence are Python's; closures built over a
+whitelist of node types (numbers, u, t, pi, + - * / **, unary + and -, calls
+of the named functions) evaluate them, and no user code is ever executed.
+Numbers, pi and t are float64 scalars, so 1/t at t = 0 is inf, not an error.
 """
 
+import ast
 import math
-import re
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -110,12 +113,6 @@ def builtin_scenario(name: str, eps: float = 0.05) -> Scenario:
 # expression language for custom preferred fields
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/(),]))"
-)
-
 _FUNCTIONS = {
     "sin": (np.sin, 1),
     "cos": (np.cos, 1),
@@ -127,135 +124,58 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi}
 
-
-def _tokenize(src: str):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            if src[pos:].strip() == "":
-                break
-            raise ConfigError(f"bad character in expression at {src[pos:]!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    return tokens
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.UAdd: operator.pos,
+              ast.USub: operator.neg}
 
 
-class _Parser:
-    """Recursive-descent parser producing a closure over (u, t)."""
-
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r} in expression {self.src!r}")
-
-    def parse(self):
-        fn = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"trailing input in expression {self.src!r}")
-        return fn
-
-    def expr(self):
-        fn = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            lhs = fn
-            if op == "+":
-                fn = lambda env, a=lhs, b=rhs: a(env) + b(env)
-            else:
-                fn = lambda env, a=lhs, b=rhs: a(env) - b(env)
-        return fn
-
-    def term(self):
-        fn = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.next()[1]
-            rhs = self.factor()
-            lhs = fn
-            if op == "*":
-                fn = lambda env, a=lhs, b=rhs: a(env) * b(env)
-            else:
-                fn = lambda env, a=lhs, b=rhs: a(env) / b(env)
-        return fn
-
-    def factor(self):
-        fn = self.unary()
-        if self.peek() == ("op", "**"):
-            self.next()
-            rhs = self.factor()  # right-associative
-            lhs = fn
-            fn = lambda env, a=lhs, b=rhs: a(env) ** b(env)
-        return fn
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            inner = self.unary()
-            return lambda env, a=inner: -a(env)
-        if self.peek() == ("op", "+"):
-            self.next()
-            return self.unary()
-        return self.atom()
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return lambda env, c=val: c
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if val not in _FUNCTIONS:
-                    raise ConfigError(f"unknown function {val!r} in expression")
-                func, arity = _FUNCTIONS[val]
-                self.next()
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                if len(args) != arity:
-                    raise ConfigError(
-                        f"{val} takes {arity} argument(s), got {len(args)}"
-                    )
-                return lambda env, f=func, a=tuple(args): f(*(g(env) for g in a))
-            if val in _CONSTANTS:
-                return lambda env, c=_CONSTANTS[val]: c
-            if val in ("u", "t"):
-                return lambda env, k=val: env[k]
-            raise ConfigError(f"unknown name {val!r} in expression")
-        if kind == "op" and val == "(":
-            fn = self.expr()
-            self.expect_op(")")
-            return fn
-        raise ConfigError(f"could not parse expression {self.src!r}")
+def _closure(node):
+    """The closure over (u, t) that evaluates one whitelisted ast node."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        c = np.float64(node.value)
+        return lambda u, t: c
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _closure(ast.Constant(_CONSTANTS[node.id]))
+    if isinstance(node, ast.Name):
+        if node.id in ("u", "t"):
+            return (lambda u, t: u) if node.id == "u" else (lambda u, t: t)
+        raise ConfigError(f"unknown name {node.id!r} in expression")
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        a, b = _closure(node.left), _closure(node.right)
+        op = _OPERATORS[type(node.op)]
+        return lambda u, t: op(a(u, t), b(u, t))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        op, a = _OPERATORS[type(node.op)], _closure(node.operand)
+        return lambda u, t: op(a(u, t))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and not node.keywords):
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise ConfigError(f"unknown function {name!r} in expression")
+        func, arity = _FUNCTIONS[name]
+        if len(node.args) != arity:
+            raise ConfigError(
+                f"{name} takes {arity} argument(s), got {len(node.args)}")
+        args = tuple(_closure(a) for a in node.args)  # a *x argument fails
+        return lambda u, t: func(*(g(u, t) for g in args))
+    raise SyntaxError("not in the expression language")
 
 
 def compile_expr(src: str) -> FieldFunc:
     """Compile an expression in u and t into a vectorized field function."""
-    body = _Parser(src).parse()
+    try:
+        tree = ast.parse(src, mode="eval")
+        if sum(1 for _ in ast.walk(tree)) > 1000:  # bounds the call depth
+            raise RecursionError
+        body = _closure(tree.body)
+    except (SyntaxError, ValueError, OverflowError, RecursionError,
+            MemoryError):
+        # NUL byte: ValueError; huge integer: OverflowError; deep nesting: rest
+        raise ConfigError(f"could not parse expression {src!r}") from None
 
     def fn(u, t):
-        out = body({"u": np.asarray(u, dtype=float), "t": float(t)})
+        out = body(np.asarray(u, dtype=float), np.float64(t))
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(u)).copy()
 
     return fn

@@ -243,22 +243,48 @@ def test_refinement_studies_keep_no_snapshots(tmp_path, monkeypatch, command):
     assert kept == [2, 2]
 
 
+@pytest.mark.parametrize("command", ["converge", "compare2d3d"])
+def test_rejected_study_leaves_no_output_directory(tmp_path, command):
+    cfg = write_cfg(tmp_path, "scenario.name = relaxation\n"
+                    "scenario.alpha0 = 1/u\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--levels", "0..1"]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name,dimension", [("worm2d", 2), ("relaxation", 3)])
+@pytest.mark.parametrize("name,dimension,expr", [
+    pytest.param(name, dimension, expr, id=f"{name}-{dimension}"
+                 + ("" if expr == "1/u" else f"-{expr}"))
+    for name, dimension in (("worm2d", 2), ("relaxation", 3))
+    for expr in ("1/u", "u + 1/t", "10**400")
+])
 def test_non_finite_preferred_curvature_is_a_config_error(tmp_path, name,
-                                                          dimension, capsys):
+                                                          dimension, expr,
+                                                          capsys):
     cfg = write_cfg(tmp_path, f"""
         scenario.name = {name}
         run.dimension = {dimension}
         run.dt = 0.25
         run.t_final = 1
         scenario.spin_up = 0
-        scenario.alpha0 = 1/u
+        scenario.alpha0 = {expr}
     """)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "scenario.alpha0" in err and "t=0" in err and "vertex 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_material_profile_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "scenario.name = relaxation\n"
+                    "material.bend_stiffness = 1/0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "bend_stiffness" in capsys.readouterr().err
     assert not out.exists()
 
 

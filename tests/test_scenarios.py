@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodfem.engine3d import SimConfig
 from rodfem.errors import ConfigError
@@ -90,6 +92,10 @@ def test_expression_operators():
     assert compile_expr("-u + 3")(u, 0.0)[0] == pytest.approx(2.75)
     assert compile_expr("8/(u+0.75)")(u, 0.0)[0] == pytest.approx(8.0)
     assert compile_expr("2**u**2")(u, 0.0)[0] == pytest.approx(2.0 ** 0.0625)
+    # unary minus binds looser than ** on its right, as in Python
+    assert compile_expr("-u**2")(u, 0.0)[0] == -0.0625
+    assert compile_expr("-2**2")(u, 0.0)[0] == -4.0
+    assert compile_expr("2**-u**2")(u, 0.0)[0] == pytest.approx(2.0 ** -0.0625)
     assert compile_expr("abs(0-u)")(u, 0.0)[0] == pytest.approx(0.25)
     assert compile_expr("exp(u)*cos(0)")(u, 0.0)[0] == pytest.approx(
         math.exp(0.25))
@@ -117,7 +123,71 @@ def test_constant_expressions_broadcast():
     "step(u, 1)",     # wrong arity
     "q + 1",          # unknown name
     "u 2",            # trailing input
+    "u\x00",          # NUL byte
+    "True",           # bool literal
+    "1j",             # complex literal
+    "u < 1",          # comparison
+    "u.real",         # attribute
+    "u[0]",           # subscript
+    "sin(x=u)",       # keyword argument
+    pytest.param("-" * 100000 + "u", id="100000 unary minuses"),
+    pytest.param("+".join(["u"] * 3000), id="3000-term sum"),
+    # parses, but would nest the closures too deep to evaluate in a run
+    pytest.param("-" * 990 + "u", id="990 unary minuses"),
 ])
 def test_malformed_expressions_raise(src):
     with pytest.raises(ConfigError):
         compile_expr(src)
+
+
+# each expression tree is rendered twice: as the text compile_expr reads, and
+# with every number wrapped as F(...), for Python to evaluate as the oracle
+F = np.float64
+_ORACLE_NAMES = {"F": F, "pi": F(math.pi), "sin": np.sin, "cos": np.cos,
+                 "exp": np.exp, "abs": np.abs}
+
+
+def _binary(args):
+    (a, a_f), op, (b, b_f), parenthesize = args
+    fmt = "({}) {} ({})" if parenthesize else "{} {} {}"
+    return fmt.format(a, op, b), fmt.format(a_f, op, b_f)
+
+
+def _unary(args):
+    op, (a, a_f) = args
+    return op + a, op + a_f
+
+
+def _call(args):
+    name, (a, a_f) = args
+    return f"{name}({a})", f"{name}({a_f})"
+
+
+_expressions = st.recursive(
+    st.one_of(
+        st.integers(0, 9).map(lambda i: (str(i), f"F({i})")),
+        st.floats(0.0, 4.0).map(lambda x: (repr(x), f"F({x!r})")),
+        st.sampled_from(["u", "t", "pi"]).map(lambda name: (name, name)),
+    ),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", "**"]),
+                  children, st.booleans()).map(_binary),
+        st.tuples(st.sampled_from(["+", "-"]), children).map(_unary),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "abs"]),
+                  children).map(_call),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions, st.sampled_from([0.0, 1.0 / 16.0, 1.3, 17.25]))
+def test_expressions_evaluate_as_python_float64_arithmetic(expr, t):
+    text, oracle_text = expr
+    u = np.linspace(0.0, 1.0, 5)
+    with np.errstate(all="ignore"):
+        got = compile_expr(text)(u, t)
+        expected = eval(oracle_text, {"__builtins__": {}},  # test oracle only
+                        {**_ORACLE_NAMES, "u": u, "t": F(t)})
+    assert np.array_equal(got, np.broadcast_to(expected, u.shape),
+                          equal_nan=True), text
