@@ -20,6 +20,7 @@ mid-run.
 """
 
 import argparse
+import ast
 import dataclasses
 import json
 import platform
@@ -138,7 +139,7 @@ def _get(cfg, key, default=None):
 
 
 def _profile_of(cfg, key):
-    """A material profile: plain number, or an expression in u."""
+    """A material profile: plain number, or an expression in u (not t)."""
     raw = cfg[key]
     try:
         return float(raw)
@@ -148,6 +149,10 @@ def _profile_of(cfg, key):
         f = compile_expr(raw)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    if any(isinstance(node, ast.Name) and node.id == "t"
+           for node in ast.walk(ast.parse(raw, mode="eval"))):
+        raise ConfigError(
+            f"{key}: a material profile depends on u only, got '{raw}'")
     return lambda u, _f=f: _f(u, 0.0)
 
 
@@ -323,6 +328,7 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     scenario = build_scenario(cfg)
     sim = build_sim_config(cfg, scenario)
+    kymograph = _get(cfg, "output.kymograph", False)
 
     result = _drive(sim)
     mesh = uniform_mesh(sim.n_vertices)
@@ -335,7 +341,7 @@ def cmd_run(args) -> int:
     for step in sorted(result.snapshots):
         names = _snapshot_files(out_dir, mesh, step, result.snapshots[step])
         outputs["snapshots"].extend(names)
-    if _get(cfg, "output.kymograph", False):
+    if kymograph:
         write_kymograph(
             out_dir / "kymograph_vertices.csv",
             out_dir / "kymograph_elements.csv",

@@ -9,18 +9,52 @@ numerical stability for Gaussian elimination", Math. Comp. 35, 1980), and
 returns its residual vector too; band products are float64 BLAS calls
 (dgbmv).
 
+dgbtrf, dgbtrs and dgbmv are scipy's compiled wrappers.  Their extension
+modules (_flapack, _fblas) are loaded straight from their files, so that
+`import rodfem` skips scipy.linalg's package import, which pulls in some 300
+more modules and dominated the package's import time.  They are the very
+modules scipy.linalg.lapack and scipy.linalg.blas re-export, so the routines
+are the same objects and the numbers are the same.
+
 Bands are stored Fortran-ordered, the layout LAPACK and BLAS read, so the
 factorization copies a contiguous block and a product copies nothing; entry
 (i, j) sits at flat position (kl + ku + i - j) + ldab * j of the column-major
 data, with ldab = 2 kl + ku + 1.
 """
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import AssemblyError, SingularMatrixError, SolverError
+
+
+def _linalg_extension(name: str):
+    """scipy.linalg's compiled module `name`, without importing scipy.linalg.
+
+    find_spec("scipy") locates the package without importing it.  A module
+    loaded here is not put in sys.modules; importing scipy.linalg later
+    loads the same file under the same name, and gets the same routines.
+    Without the file, the module is imported the usual way.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for directory in getattr(spec, "submodule_search_locations", None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(directory, "linalg", name + suffix)
+            if path.is_file():
+                ext = importlib.util.spec_from_file_location(
+                    "scipy.linalg." + name, path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module
+    return importlib.import_module("scipy.linalg." + name)
+
+
+lapack = _linalg_extension("_flapack")
+blas = _linalg_extension("_fblas")
 
 
 class BandedMatrix:

@@ -288,6 +288,32 @@ def test_non_finite_material_profile_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["bend_stiffness", "twist_viscosity"])
+def test_time_dependent_material_profile_is_a_config_error(tmp_path, key,
+                                                           capsys):
+    cfg = write_cfg(tmp_path, "scenario.name = relaxation\n"
+                    f"material.{key} = 1 + t\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"material.{key}" in err and "u only" in err
+    assert not out.exists()
+
+
+def test_bad_kymograph_flag_is_rejected_before_the_run(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+        scenario.name = worm2d
+        run.n_vertices = 8
+        run.dt = 0.25
+        run.t_final = 1
+        output.kymograph = maybe
+    """)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "output.kymograph" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line,key", [
     ("run.t_final = nan", "t_final"),
     ("run.t_final = inf", "t_final"),

@@ -1,11 +1,18 @@
 """Banded storage and the LU solve behind every time step."""
 
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodfem import SimConfig, builtin_scenario, uniform_mesh
+from rodfem import SimConfig, builtin_scenario, linsolve, uniform_mesh
 from rodfem.assembly3d import StepContext, frozen_geometry
 from rodfem.errors import AssemblyError, SingularMatrixError
 from rodfem.linsolve import BandedLU, BandedMatrix, factorize, solve
@@ -157,3 +164,39 @@ def test_rhs_shape_is_checked():
     lu = factorize(band_from_dense(np.eye(3)))
     with pytest.raises(SolverError):
         lu.backsolve(np.ones(4))
+
+
+# --- where the band routines come from ---------------------------------------
+
+
+def test_import_rodfem_leaves_scipy_linalg_unimported():
+    # a fresh interpreter, so nothing else has imported scipy.linalg yet;
+    # importing it afterwards must still hand out the same band routines
+    src = Path(linsolve.__file__).resolve().parents[1]
+    code = ("import sys, rodfem, rodfem.cli\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg\n"
+            "print(rodfem.linsolve.lapack.dgbtrf is scipy.linalg.lapack.dgbtrf)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_band_routines_are_scipys_own_objects():
+    import scipy.linalg
+    assert linsolve.lapack.dgbtrf is scipy.linalg.lapack.dgbtrf
+    assert linsolve.lapack.dgbtrs is scipy.linalg.lapack.dgbtrs
+    assert linsolve.blas.dgbmv is scipy.linalg.blas.dgbmv
+
+
+def test_missing_extension_file_falls_back_to_the_import(monkeypatch,
+                                                         tmp_path):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    module = linsolve._linalg_extension("_flapack")
+    import scipy.linalg
+    assert module is sys.modules["scipy.linalg._flapack"]
+    assert module.dgbtrf is scipy.linalg.lapack.dgbtrf
