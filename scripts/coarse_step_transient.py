@@ -24,6 +24,10 @@ def main():
     ap.add_argument("--split", type=float, default=2.0,
                     help="boundary between the early and late error windows")
     args = ap.parse_args()
+    if not 0.0 <= args.split < args.t_final:
+        # otherwise the early or the late window is empty
+        ap.error(f"--split must satisfy 0 <= split < t-final "
+                 f"({args.t_final:g}), got {args.split:g}")
 
     scenario = builtin_scenario("worm3d")
     print(f"{'dt':>10} {'n':>5} {'max step rot':>13} {'max F1 early':>13} "

@@ -12,8 +12,9 @@ angular-momentum balance in the spin, so each is substituted into the
 other rows and recovered from the solution afterwards.  Unknowns are
 interleaved along the rod so the matrix is banded with a
 resolution-independent bandwidth; each row is put in the slot of the
-unknown it pivots on (see `DofLayout`), which keeps that band 10 wide on
-either side in space and 6 in the plane.  The momentum balance,
+unknown it pivots on, which keeps the band that `DofLayout` declares 10
+wide on either side in space and 6 in the plane; the first assembly
+through a layout only records where each put lands.  The momentum balance,
 the bending law with the curvature substituted, and inextensibility are put
 once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
 those rows alone, and the spatial step adds the twist to them.  Both
@@ -70,37 +71,38 @@ class RodState3D:
 class _Triplets:
     """Values of one step matrix, put in blocks of the layout's dim slots.
 
-    Shared by the spatial and the planar assembler.  The matrix's sparsity
-    pattern depends only on the unknown layout, so the layout records it
-    once per run: the first assembly through a layout keeps each put's
-    rows, columns and values, and `banded` stores the band's kl and ku and
-    one array of flat band positions per put call in the layout, rejecting
-    a position that is put twice.  Every later assembly makes the same put
-    calls in the same order, and each writes its values straight into a
-    band allocated up front, with one indexed assignment.
+    Shared by the spatial and the planar assembler.  Each put writes its
+    values into a band of the layout's kl and ku with one indexed
+    assignment.  The first assembly through a layout records each put's
+    flat band positions in `layout.puts`, rejecting an entry outside the
+    band and a position put twice; later ones repeat the puts and reuse them.
     """
 
     def __init__(self, layout):
         self.d = np.arange(layout.dim)
         self.layout = layout
         self.calls = 0
-        self.entries = []           # (rows, cols, values) of a first assembly
-        self.matrix = None
-        if layout.puts is not None:
-            self.matrix = BandedMatrix(layout.ndof, layout.kl, layout.ku)
-            self.flat = self.matrix.data.reshape(-1, order="F")
+        self.recording = not layout.puts
+        self.puts = [] if self.recording else layout.puts
+        self.matrix = BandedMatrix(layout.ndof, layout.kl, layout.ku)
+        self.flat = self.matrix.data.reshape(-1, order="F")
 
     def _put(self, v, shape, index):
         """Entries v, broadcast to shape, at the rows and columns index()
         returns; only a first assembly needs them."""
         k = self.calls
         self.calls += 1
-        if self.matrix is None:
-            self.entries.append(tuple(np.broadcast_to(a, shape)
-                                      for a in (*index(), v)))
-            return
-        puts = self.layout.puts
-        if k >= len(puts) or puts[k].shape != shape:
+        puts = self.puts
+        if self.recording:
+            rows, cols = (np.broadcast_to(a, shape) for a in index())
+            try:
+                puts.append(self.matrix.flat_indices(rows, cols))
+            except ValueError:
+                raise AssemblyError(
+                    f"put call {k} has an entry outside the band kl="
+                    f"{self.matrix.kl}, ku={self.matrix.ku} of its layout"
+                ) from None
+        elif k >= len(puts) or puts[k].shape != shape:
             raise AssemblyError(
                 f"put call {k} of shape {shape} does not match the band "
                 f"pattern recorded for this layout"
@@ -134,22 +136,6 @@ class _Triplets:
         self._put(vecs, vecs.shape, lambda: (r0[:, None],
                                              c0[:, None] + self.d))
 
-    def _record(self):
-        """Record the first assembly's band in the layout; the filled band."""
-        lay = self.layout
-        d = [r - c for r, c, _ in self.entries]
-        matrix = BandedMatrix(lay.ndof, max(int(e.max()) for e in d),
-                              max(int(-e.min()) for e in d))
-        puts = tuple(matrix.flat_indices(r, c) for r, c, _ in self.entries)
-        ordered = np.sort(np.concatenate([p.ravel() for p in puts]))
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise AssemblyError("a band position is put more than once")
-        lay.kl, lay.ku, lay.puts = matrix.kl, matrix.ku, puts
-        flat = matrix.data.reshape(-1, order="F")
-        for p, (_, _, v) in zip(puts, self.entries):
-            flat[p] = v
-        return matrix
-
     def banded(self, b, what) -> BandedMatrix:
         """The band matrix holding every entry; rejects a non-finite b.
 
@@ -159,12 +145,15 @@ class _Triplets:
         if not np.all(np.isfinite(b)):
             raise AssemblyError(
                 f"non-finite entries in the {what} right-hand side")
-        if self.matrix is None:
-            return self._record()
-        if self.calls != len(self.layout.puts):
+        if self.recording:
+            ordered = np.sort(np.concatenate([p.ravel() for p in self.puts]))
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise AssemblyError("a band position is put more than once")
+            self.layout.puts = tuple(self.puts)
+        elif self.calls != len(self.puts):
             raise AssemblyError(
                 f"{what} system made {self.calls} put calls, its band "
-                f"pattern records {len(self.layout.puts)}"
+                f"pattern records {len(self.puts)}"
             )
         return self.matrix
 
@@ -236,14 +225,13 @@ class DofLayout:
     vertex's position, takes the position slots, and the momentum balance
     takes the bending-moment slots.  The end vertices have no bending
     moment, so their momentum rows keep the position slots.  The twist
-    and tension rows keep their unknown's slot.  That is kl = ku = 10 in
-    space and 6 in the plane for n >= 4 vertices.  mom_off and law_off
-    are the first rows of each vertex's momentum balance and each interior
+    and tension rows keep their unknown's slot.  mom_off and law_off are
+    the first rows of each vertex's momentum balance and each interior
     vertex's bending law, mom_rows and law_rows all dim of them.
 
-    A layout is made once per run and also holds the step matrix's band,
-    recorded by the first assembly: its kl and ku, and in puts one array of
-    flat band positions per put call (see `_Triplets`).
+    The layout declares the step matrix's band, kl = ku = 10 in space and
+    6 in the plane for every n >= 3; the first assembly through it only
+    records in puts one array of flat band positions per put call.
     """
 
     n_vertices: int
@@ -259,9 +247,9 @@ class DofLayout:
     mom_rows: np.ndarray = field(init=False, repr=False)  # (n, dim)
     law_rows: np.ndarray = field(init=False, repr=False)  # (n - 2, dim)
     ndof: int = field(init=False)
-    kl: int = field(init=False, default=None)
-    ku: int = field(init=False, default=None)
-    puts: tuple = field(init=False, default=None, repr=False)
+    kl: int = field(init=False)
+    ku: int = field(init=False)
+    puts: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         n, dim = self.n_vertices, self.dim
@@ -291,6 +279,9 @@ class DofLayout:
         self.mom_rows = self.mom_off[:, None] + d
         self.law_rows = self.law_off[:, None] + d
         self.ndof = stride * (n - 1)
+        # an interior vertex's momentum rows, in its bending-moment slots,
+        # reach its neighbours' bending moments: one stride plus dim - 1 away
+        self.kl = self.ku = stride + dim - 1
 
 
 def _read_only(a):

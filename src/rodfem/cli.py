@@ -162,12 +162,8 @@ def build_scenario(cfg) -> Scenario:
     if name is None:
         raise ConfigError("scenario.name is required")
 
-    eps = _get(cfg, "material.epsilon", 0.05)
     if name in _PRESET_NAMES:
-        try:
-            scn = builtin_scenario(name, eps=eps)
-        except (InvalidParameterError, ConfigError) as exc:
-            raise ConfigError(f"material.epsilon: {exc}") from None
+        scn = builtin_scenario(name, eps=_get(cfg, "material.epsilon", 0.05))
     elif name == "custom":
         if "scenario.alpha0" not in cfg:
             raise ConfigError(
@@ -180,6 +176,15 @@ def build_scenario(cfg) -> Scenario:
         raise ConfigError(
             f"scenario.name: unknown scenario '{name}' "
             f"(expected one of {', '.join(_PRESET_NAMES)}, or custom)"
+        )
+
+    replaced = {"material.bend_stiffness", "material.twist_stiffness"}
+    if "material.epsilon" in cfg and (name not in ("worm2d", "worm3d")
+                                      or replaced <= cfg.keys()):
+        raise ConfigError(
+            f"material.epsilon: scenario {name} samples no tapered stiffness "
+            f"profile (worm2d and worm3d do, unless both stiffness profiles "
+            f"are given)"
         )
 
     # the fields of a custom scenario, and overrides of a preset's, so

@@ -53,6 +53,9 @@ class SimConfig:
             raise InvalidParameterError(
                 f"scenario.spin_up must be finite and >= 0, got {spin_up}"
             )
+        # a resumed run checks the duration left to it when it starts
+        step_count(self.t_final, self.dt, "t_final")
+        step_count(spin_up, self.dt, "scenario.spin_up")
         length = self.scenario.length
         if not (np.isfinite(length) and length > 0.0):
             raise InvalidParameterError(
@@ -89,12 +92,12 @@ class RunResult:
     wall_time: float
 
 
-def step_count(duration: float, dt: float) -> int:
-    """Number of steps covering the duration; must divide evenly."""
+def step_count(duration: float, dt: float, what: str = "duration") -> int:
+    """Steps covering the duration, named what; it must divide evenly."""
     k = int(round(duration / dt))
     if k < 0 or abs(k * dt - duration) > 1e-6 * dt:
         raise InvalidParameterError(
-            f"duration {duration} is not a whole number of steps of {dt}"
+            f"{what} {duration} is not a whole number of steps of {dt}"
         )
     return k
 

@@ -299,14 +299,21 @@ def test_assembled_increment_rhs_is_b_minus_a_base(model):
 
 def test_step_band_is_ten_wide_in_space_and_six_in_the_plane():
     # each row sits where it pivots, so the band is as narrow as the
-    # vertex blocks allow; a rod of 3 vertices has no full interior block
-    for model, ns, narrow in (("spatial", (3, 4, 16, 512), (8, 10)),
-                              ("planar", (3, 4, 16, 128), (4, 6))):
+    # vertex blocks allow; the layout declares it for every n, and from
+    # n = 4 on, when an interior vertex has a neighbour with a bending
+    # moment, some entry sits on each outermost diagonal
+    for model, ns, width in (("spatial", (3, 4, 16, 512), 10),
+                             ("planar", (3, 4, 16, 128), 6)):
         for n in ns:
-            matrix, *_ = assembled_step(model, n=n)
-            full = narrow[1]
-            want = narrow if n == 3 else (full, full)
-            assert (matrix.kl, matrix.ku) == want, (model, n)
+            matrix, *_, ctx = assembled_step(model, n=n)
+            lay = ctx.layout
+            assert (lay.kl, lay.ku) == (width, width), (model, n)
+            assert (matrix.kl, matrix.ku) == (width, width), (model, n)
+            ldab = matrix.data.shape[0]
+            d = np.concatenate([p.ravel() for p in lay.puts]) % ldab \
+                - lay.kl - lay.ku
+            if n >= 4:
+                assert (d.max(), -d.min()) == (lay.kl, lay.ku), (model, n)
     # the relaxation benchmark's step: 4088 unknowns in 31 band rows
     mesh, st = bent_test_state(512)
     ctx = StepContext(mesh, builtin_scenario("relaxation"), 3)
@@ -324,7 +331,7 @@ def test_band_pattern_is_recorded_once_and_reused(model, n):
     first, *_, owner = assembled_step(model, n=n, seed=5, scale=0.15)
     layout = owner.layout
     puts = layout.puts
-    assert puts is not None
+    assert len(puts) > 0
     assert (layout.kl, layout.ku) == (first.kl, first.ku)
     second, *_ = assembled_step(model, n=n, seed=6, scale=0.25, owner=owner)
     assert layout.puts is puts
@@ -339,9 +346,7 @@ def test_assembly_with_another_runs_pattern_is_rejected():
     _, *_, small = assembled_step("spatial", n=4)
     mesh, st = bent_test_state(5)
     ctx = StepContext(mesh, builtin_scenario("worm3d"), 3)
-    lay = ctx.layout
-    lay.kl, lay.ku, lay.puts = small.layout.kl, small.layout.ku, \
-        small.layout.puts
+    ctx.layout.puts = small.layout.puts
     geom = frozen_geometry(mesh, st["x"])
     args = (0.1, 0.1, as_state(st))
     with pytest.raises(AssemblyError, match="band pattern"):
@@ -359,7 +364,20 @@ def test_a_band_position_put_twice_is_rejected(dim):
     m.put(lay.x_off[1:2] + 1, lay.x_off[1:2] + 1, [2.0])
     with pytest.raises(AssemblyError, match="more than once"):
         m.banded(np.zeros(lay.ndof), "test")
-    assert lay.puts is None
+    assert lay.puts == ()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_put_outside_the_declared_band_is_rejected(dim):
+    # an entry one diagonal past the band names the put call and the band,
+    # and the layout records no pattern
+    lay = DofLayout(6, dim)
+    m = _Triplets(lay)
+    m.put_diag(lay.x_off, lay.x_off, np.ones(6))
+    with pytest.raises(AssemblyError,
+                       match=rf"put call 1 .* kl={lay.kl}, ku={lay.ku}"):
+        m.put([0], [lay.ku + 1], [1.0])
+    assert lay.puts == ()
 
 
 @pytest.mark.parametrize("model", ["spatial", "planar"])

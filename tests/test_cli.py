@@ -332,3 +332,37 @@ def test_non_finite_horizon_or_spin_up_is_a_config_error(tmp_path, line, key,
     assert key in err
     assert "run: scenario." not in err  # scenario fields keep their section
     assert not out.exists()  # rejected before any step or output
+
+
+@pytest.mark.parametrize("name,extra", [
+    pytest.param("relaxation", "", id="relaxation"),
+    pytest.param("custom", "scenario.alpha0 = 1\n", id="custom"),
+    pytest.param("worm2d", "material.bend_stiffness = 1\n"
+                 "material.twist_stiffness = 1\n", id="worm2d-both-stiffness"),
+])
+def test_epsilon_without_a_tapered_profile_is_a_config_error(tmp_path, name,
+                                                             extra, capsys):
+    # epsilon only shapes the worm presets' tapered stiffness profiles
+    cfg = write_cfg(tmp_path, f"scenario.name = {name}\n{extra}"
+                    "material.epsilon = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "material.epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overriding_a_preset_field_changes_the_run(tmp_path):
+    # worm3d without its out-of-plane drive stays in the plane it starts in
+    def max_abs_z(override):
+        cfg = write_cfg(tmp_path, "scenario.name = worm3d\n"
+                        "run.n_vertices = 8\nrun.dt = 0.25\nrun.t_final = 1\n"
+                        f"output.snapshot_stride = 1\n{override}")
+        out = tmp_path / f"out{len(override)}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        snaps = sorted(out.glob("snap_*.csv"))
+        assert len(snaps) == 5
+        return max(np.abs(np.genfromtxt(p, delimiter=",", names=True)["z"])
+                   .max() for p in snaps)
+
+    assert max_abs_z("scenario.beta0 = 0\n") <= 1e-10
+    assert max_abs_z("") > 1e-3

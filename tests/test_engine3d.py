@@ -142,6 +142,19 @@ def test_config_rejects_a_non_finite_or_negative_horizon_or_spin_up(
         SimConfig(scn, t_final=t_final, dimension=dimension)
 
 
+@pytest.mark.parametrize("t_final,spin_up,named", [
+    pytest.param(1.1, 0.0, "t_final 1.1", id="t_final"),
+    pytest.param(1.0, 0.3, "scenario.spin_up 0.3", id="spin_up")])
+def test_config_rejects_a_horizon_or_spin_up_of_a_fraction_of_a_step(
+        t_final, spin_up, named):
+    # found when the config is made, not after the spin-up has run
+    scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=spin_up)
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^{named} is not a whole number of steps of "
+                             rf"0\.25$"):
+        SimConfig(scn, dt=0.25, t_final=t_final, dimension=2)
+
+
 def test_initial_energy_of_the_relaxation_drive():
     # straight start, so the energy is the quadrature of the preferred
     # fields' squared magnitude: 4 sin^2 + 9 cos^2 (three half-turns) plus
