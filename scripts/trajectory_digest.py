@@ -33,17 +33,20 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from rodfem import (SimConfig, builtin_scenario, embed_in_space, run,  # noqa: E402
-                    run2d, spun_up_state_2d, uniform_mesh)
+from rodfem import (SimConfig, builtin_scenario, circle_arc,  # noqa: E402
+                    embed_in_space, run, spun_up_state_2d, uniform_mesh)
 from rodfem.cli import main as rodfem_main  # noqa: E402
 
 DT = 1.0 / 16.0
 T_FINAL = 1.0
+ARC_ANGLE = 0.2
 
 #: (case name, scenario, n_vertices, dimension, start).  start is "fresh",
-#: "resumed" (from the state at t = T_FINAL / 2) or "embedded": the spatial
+#: "resumed" (from the state at t = T_FINAL / 2), "embedded": the spatial
 #: run from the spun-up planar state lifted into space, the path of
-#: `rodfem compare2d3d`, where both assemblers see the same geometry.
+#: `rodfem compare2d3d`, where both assemblers see the same geometry, or
+#: "arc": the spatial run from a circular arc of central angle ARC_ANGLE
+#: passed as `initial`, the path of perfbench's relax3d workload.
 CASES = (
     ("relaxation-n4", "relaxation", 4, 3, "fresh"),
     ("relaxation-n16", "relaxation", 16, 3, "fresh"),
@@ -55,6 +58,7 @@ CASES = (
     ("worm3d-n32-resumed", "worm3d", 32, 3, "resumed"),
     ("worm2d-n64-resumed", "worm2d", 64, 2, "resumed"),
     ("worm2d-n32-embedded", "worm2d", 32, 3, "embedded"),
+    ("relaxation-n64-arc", "relaxation", 64, 3, "arc"),
 )
 
 #: (case name, scenario, dimension) of the `rodfem run` cases: n = 32 with
@@ -92,20 +96,23 @@ def digest(result) -> str:
 
 
 def run_case(scenario, n_vertices, dimension, start):
-    driver = run if dimension == 3 else run2d
-
     def config(t_final, dimension=dimension):
         return SimConfig(builtin_scenario(scenario), n_vertices=n_vertices,
                          dt=DT, t_final=t_final, dimension=dimension)
 
     if start == "fresh":
-        return driver(config(T_FINAL))
+        return run(config(T_FINAL))
+    if start == "arc":
+        mesh = uniform_mesh(n_vertices)
+        length = builtin_scenario(scenario).length
+        return run(config(T_FINAL),
+                   initial=circle_arc(mesh, length / ARC_ANGLE, ARC_ANGLE))
     if start == "embedded":
         planar = spun_up_state_2d(config(T_FINAL, dimension=2))
         return run(config(T_FINAL),
                    state=embed_in_space(uniform_mesh(n_vertices), planar))
-    half = driver(config(T_FINAL / 2.0))
-    return driver(config(T_FINAL), state=half.final_state)
+    half = run(config(T_FINAL / 2.0))
+    return run(config(T_FINAL), state=half.final_state)
 
 
 def rodfem_cli(tmp, argv, config_text):

@@ -9,8 +9,8 @@ two-dimensional studies and cross-validation.
 
 Entry points:
 
-* :func:`run` / :func:`run2d` drive a full simulation from a
-  :class:`SimConfig`.
+* :func:`run` drives a full simulation of either model from a
+  :class:`SimConfig`; :func:`run2d` is the same function.
 * :func:`builtin_scenario` returns the bundled actuation presets;
   :func:`compile_expr` builds preferred-field functions from short
   expression strings.
@@ -71,12 +71,12 @@ from .engine3d import (
     initial_state,
     step_count,
     run,
+    run2d,
+    spun_up_state_2d,
 )
 from .solver2d import (
     RodState2D,
     initial_state_2d,
-    spun_up_state_2d,
-    run2d,
     embed_in_space,
 )
 

@@ -40,7 +40,7 @@ from .diagnostics import (
     write_snapshot,
     write_table,
 )
-from .engine3d import SimConfig, run, step_count
+from .engine3d import SimConfig, run, spun_up_state_2d, step_count
 from .errors import (
     ConfigError,
     InvalidMeshError,
@@ -50,7 +50,7 @@ from .errors import (
 from .geometry import frozen_geometry, perp, uniform_mesh
 from .materials import IsotropicDrag, ResistiveForceDrag
 from .scenarios import Scenario, builtin_scenario, compile_expr
-from .solver2d import embed_in_space, run2d, spun_up_state_2d
+from .solver2d import embed_in_space
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,11 @@ def build_scenario(cfg) -> Scenario:
         raise ConfigError("scenario.name is required")
 
     if name in _PRESET_NAMES:
-        scn = builtin_scenario(name, eps=_get(cfg, "material.epsilon", 0.05))
+        try:
+            scn = builtin_scenario(name,
+                                   eps=_get(cfg, "material.epsilon", 0.05))
+        except InvalidParameterError as exc:
+            raise ConfigError(f"material.epsilon: {exc}") from None
     elif name == "custom":
         if "scenario.alpha0" not in cfg:
             raise ConfigError(
@@ -251,11 +255,17 @@ def build_sim_config(cfg, scenario, **levels) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def _drive(sim: SimConfig):
-    """Dispatch to the solver the config's dimension selects."""
-    if sim.dimension == 2:
-        return run2d(sim)
-    return run(sim)
+def _then_create_out(args, work):
+    """work()'s value and --out: rejected before work if it is or lies under
+    a non-directory, created after work so a rejected run leaves none."""
+    out_dir = Path(args.out)
+    nearest = next(p for p in (out_dir, *out_dir.parents)
+                   if p.exists() or p.is_symlink())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out: '{nearest}' exists and is not a directory")
+    value = work()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return value, out_dir
 
 
 def _snapshot_files(out_dir, mesh, step, state):
@@ -319,11 +329,6 @@ def _parse_levels(text: str):
     return lo, hi
 
 
-def _level_params(level: int):
-    """Coupled refinement: quarter the step, double the vertex count."""
-    return 4.0 ** (-level), 2 ** (4 + level)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -335,11 +340,8 @@ def cmd_run(args) -> int:
     sim = build_sim_config(cfg, scenario)
     kymograph = _get(cfg, "output.kymograph", False)
 
-    result = _drive(sim)
+    result, out_dir = _then_create_out(args, lambda: run(sim))
     mesh = uniform_mesh(sim.n_vertices)
-    # created after the run, so a rejected run leaves no empty directory
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     write_diagnostics(out_dir / "diagnostics.csv", result.records)
     outputs = {"diagnostics": "diagnostics.csv", "snapshots": []}
@@ -373,28 +375,28 @@ def _refinement_study(args, table, level_row):
 
     level_row(sim, level, timings) runs one level, adds its wall times to
     timings and returns its row of `table`, which the caller writes.
-    Returns the config, scenario, level range, output directory and rows.
+    Returns the last level's SimConfig, the level range, the output
+    directory and the rows.
     """
     cfg = parse_config(args.config)
     scenario = build_scenario(cfg)
     lo, hi = _parse_levels(args.levels)
-    rows, timings = [], {}
-    for level in range(lo, hi + 1):
-        dt, n = _level_params(level)
-        # neither study writes snapshots, so no level keeps state copies
-        sim = build_sim_config(cfg, scenario, n_vertices=n, dt=dt,
-                               snapshot_stride=0)
-        rows.append(level_row(sim, level, timings))
-    # created after the levels, so a rejected study leaves no empty directory
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # coupled refinement: quarter the step and double the vertex count per
+    # level; neither study writes snapshots, so no level keeps state copies
+    sims = [build_sim_config(cfg, scenario, dt=4.0 ** (-level),
+                             n_vertices=2 ** (4 + level), snapshot_stride=0)
+            for level in range(lo, hi + 1)]
+    timings = {}
+    rows, out_dir = _then_create_out(args, lambda: [
+        level_row(sim, level, timings)
+        for level, sim in enumerate(sims, start=lo)])
     _write_manifest(out_dir, args, cfg, {"table": table}, timings)
-    return cfg, scenario, f"{lo}..{hi}", out_dir, rows
+    return sims[-1], f"{lo}..{hi}", out_dir, rows
 
 
 def cmd_converge(args) -> int:
     def level_row(sim, level, timings):
-        result = _drive(sim)
+        result = run(sim)
         timings[f"level_{level}"] = result.wall_time
         stats = result.stats
         return {
@@ -403,7 +405,7 @@ def cmd_converge(args) -> int:
             "max_f2_increment": stats.max_f2_increment,
         }
 
-    cfg, scenario, levels, out_dir, rows = _refinement_study(
+    sim, levels, out_dir, rows = _refinement_study(
         args, "converge.csv", level_row)
     rates = eoc([r["max_f1"] for r in rows], [r["dt"] for r in rows])
     for r, rate in zip(rows[1:], rates):
@@ -413,8 +415,8 @@ def cmd_converge(args) -> int:
     write_table(out_dir / "converge.csv", header,
                 [[r[k] for r in rows] for k in header])
 
-    print(f"{scenario.name}: refinement levels {levels} "
-          f"({'2' if _get(cfg, 'run.dimension', 3) == 2 else '3'}-d)")
+    print(f"{sim.scenario.name}: refinement levels {levels} "
+          f"({sim.dimension}-d)")
     print(f"{'dt':>12} {'n':>6} {'max_f1':>13} {'eoc':>9} {'max_f2':>13}")
     for r in rows:
         eoc_txt = "" if r["eoc"] is None else f"{r['eoc']:.5f}"
@@ -435,7 +437,7 @@ def cmd_compare2d3d(args) -> int:
         timings[f"level_{level}_spin_up"] = time.perf_counter() - t0
         spatial0 = embed_in_space(uniform_mesh(sim.n_vertices), planar0)
 
-        res2 = run2d(sim2, state=planar0)
+        res2 = run(sim2, state=planar0)
         res3 = run(sim3, state=spatial0)
         timings[f"level_{level}_2d"] = res2.wall_time
         timings[f"level_{level}_3d"] = res3.wall_time
@@ -450,14 +452,14 @@ def cmd_compare2d3d(args) -> int:
             "time_ratio": res3.wall_time / max(res2.wall_time, 1e-12),
         }
 
-    _, scenario, levels, out_dir, rows = _refinement_study(
+    sim, levels, out_dir, rows = _refinement_study(
         args, "compare.csv", level_row)
     header = ["dt", "n_vertices", "com_difference", "com_difference_per_step",
               "time_2d", "time_3d", "time_ratio"]
     write_table(out_dir / "compare.csv", header,
                 [[r[k] for r in rows] for k in header])
 
-    print(f"{scenario.name}: planar vs spatial, levels {levels}")
+    print(f"{sim.scenario.name}: planar vs spatial, levels {levels}")
     print(f"{'dt':>12} {'n':>6} {'com diff':>13} {'per step':>13} {'ratio':>7}")
     for r in rows:
         print(f"{r['dt']:>12.6g} {r['n_vertices']:>6d} "

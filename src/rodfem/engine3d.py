@@ -1,11 +1,12 @@
-"""Time-stepping driver for both rod models, and the spatial model's run.
+"""Time-stepping driver for both rod models.
 
-The step loop lives here once, for `run` (spatial) and `solver2d.run2d`
-(planar): the spin-up phase, the resume check, the per-step invariant
-probe, the diagnostics records, the snapshots and the run result.  Each
-model hands the loop its step and its energy/frame-error measure as plain
-callables.  Each step maps a state to the next one; the spatial model's
-state and step live in `assembly3d`, the planar model's in `solver2d`.
+`run` advances the model that `SimConfig.dimension` names (3: spatial,
+2: planar) through one step loop: the spin-up phase, the resume check, the
+per-step invariant probe, the diagnostics records, the snapshots and the
+run result.  Each model hands the loop its fresh state, its step and its
+energy/frame-error measure as plain callables.  Each step maps a state to
+the next one; the spatial model's state and step live in `assembly3d`, the
+planar model's in `solver2d`.  `run2d` is the same function as `run`.
 """
 
 import time
@@ -19,9 +20,10 @@ from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
 from .errors import InvalidParameterError
 from .frame import frame_error
 from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
-                       uniform_mesh, vertex_curvature)
+                       perp, uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
 from .scenarios import Scenario
+from .solver2d import RodState2D, initial_state_2d, solve_step_2d
 
 
 @dataclass
@@ -121,19 +123,22 @@ def initial_state(mesh: Mesh, scenario: Scenario, data: InitialData = None) -> R
     )
 
 
-def _check_model(config, dimension, mesh, state):
-    """Reject a config or a resume state made for another model or mesh."""
-    if config.dimension != dimension:
-        raise InvalidParameterError(
-            f"config.dimension is {config.dimension}, but this driver runs "
-            f"the {dimension}-d model (run: 3, run2d: 2)"
-        )
-    want = (mesh.n_vertices, dimension)
+def _check_model(config, mesh, state, initial):
+    """Reject a resume state or initial data made for another model or mesh."""
+    want = (mesh.n_vertices, config.dimension)
     if state is not None and state.x.shape != want:
         raise InvalidParameterError(
             f"resume state positions have shape {state.x.shape}, the "
-            f"{dimension}-d model on this mesh wants {want}"
+            f"{config.dimension}-d model on this mesh wants {want}"
         )
+    if initial is not None:
+        shapes = [np.shape(a) for a in (initial.x, initial.e1, initial.e2)]
+        if config.dimension == 2 or shapes != [want] * 3:
+            raise InvalidParameterError(
+                f"initial data x, e1, e2 have shapes {shapes}, the "
+                f"{config.dimension}-d model on this mesh takes "
+                f"{'none' if config.dimension == 2 else [want] * 3}"
+            )
 
 
 def _advance(mesh, state, geom, t, step, stats):
@@ -174,19 +179,86 @@ def _spin_up(config, mesh, state, step, stats):
     return state, geom
 
 
-def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
-    """Advance one rod model to the horizon; the loop of `run` and `run2d`.
+def _spatial_model(config, mesh, initial):
+    """The spatial model as `run` calls it: fresh_state() at t = 0,
+    step(state, geom, t, stats) -> (state, geometry, solver residual) at
+    time t, and measure(state, geom) -> (elastic energy, frame error)."""
+    ctx = StepContext(mesh, config.scenario, 3)
 
-    step(state, geom, t, stats) advances `state`, whose geometry
-    `geom` it freezes, to the time t, and returns the new state, the new
-    geometry and the solver's relative residual.  measure(state, geom)
-    returns the elastic energy and the frame error of a state.  A fresh run
-    (state None) starts from fresh_state() and the spin-up phase; a resumed
-    run continues the main phase from the state's own time.
+    def fresh_state():
+        return initial_state(mesh, config.scenario, initial)
+
+    def step(st, gm, t, stats):
+        new, gnew, residual = solve_step(ctx, gm, config.dt, t, st)
+        stats.max_abs_x3 = max(stats.max_abs_x3, float(np.abs(new.x[:, 2]).max()))
+        beta_h = np.einsum("nd,nd->n", new.kappa, new.e2)
+        stats.max_abs_beta = max(stats.max_abs_beta, float(np.abs(beta_h).max()))
+        stats.max_abs_twist = max(stats.max_abs_twist, float(np.abs(new.twist).max()))
+        return new, gnew, residual
+
+    def measure(st, gm):
+        alpha, beta, gamma0 = ctx.drive(st.t)
+        kpref = alpha[:, None] * st.e1 + beta[:, None] * st.e2
+        energy = elastic_energy(
+            gm.w, ctx.bend_stiffness, st.kappa, kpref,
+            mesh.h * gm.s, ctx.twist_stiffness, st.twist, gamma0,
+        )
+        return energy, frame_error(gm, st.e1, st.e2)
+
+    return fresh_state, step, measure
+
+
+def _planar_model(config, mesh):
+    """The planar model as `run` calls it; see `_spatial_model`."""
+    ctx = StepContext(mesh, config.scenario, 2)
+
+    def fresh_state():
+        return initial_state_2d(mesh, config.scenario)
+
+    def step(st, gm, t, stats):
+        return solve_step_2d(ctx, gm, config.dt, t, st)
+
+    def measure(st, gm):
+        alpha = ctx.drive(st.t)[0]
+        energy = elastic_energy(gm.w, ctx.bend_stiffness, st.kappa,
+                                alpha[:, None] * perp(gm.ttau))
+        return energy, 0.0
+
+    return fresh_state, step, measure
+
+
+def spun_up_state_2d(config: SimConfig, stats: RunStats = None) -> RodState2D:
+    """Initial planar state after the scenario's spin-up phase.
+
+    The driving field is clamped at its t = 0 shape for the whole phase and
+    the clock is reset afterwards, so locomotion starts from a developed
+    waveform rather than a straight rod.  The phase's invariants go into
+    `stats` when given.
     """
+    mesh = uniform_mesh(config.n_vertices)
+    fresh_state, step, _ = _planar_model(config, mesh)
+    return _spin_up(config, mesh, fresh_state(), step,
+                    RunStats() if stats is None else stats)[0]
+
+
+def run(config: SimConfig, state=None,
+        initial: InitialData = None) -> RunResult:
+    """Advance the rod to the horizon; resumes from `state` when given.
+
+    config.dimension picks the model: 3 is the spatial rod, starting from
+    `initial` (straight when None), 2 the planar rod, starting straight.  A
+    fresh run starts with the scenario's spin-up phase (driving fields
+    clamped at their t = 0 values, clock reset afterwards); a resumed run
+    continues the main phase from the state's own time.  Raises
+    InvalidParameterError for a state or initial data of another shape.
+    """
+    mesh = uniform_mesh(config.n_vertices)
+    if config.dimension == 2:
+        fresh_state, step, measure = _planar_model(config, mesh)
+    else:
+        fresh_state, step, measure = _spatial_model(config, mesh, initial)
     wall0 = time.perf_counter()
-    _check_model(config, dimension, mesh, state)
-    scn = config.scenario
+    _check_model(config, mesh, state, initial)
     stats = RunStats()
     if state is None:
         state, geom = _spin_up(config, mesh, fresh_state(), step, stats)
@@ -208,7 +280,7 @@ def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
         nonlocal prev_f2
         energy, f2 = measure(st, gm)
         hs = mesh.h * gm.s
-        f1 = length_error(hs, scn.length)
+        f1 = length_error(hs, config.scenario.length)
         inc = 0.0 if prev_f2 is None else f2 - prev_f2
         prev_f2 = f2
         records.append(DiagnosticsRecord(
@@ -239,35 +311,4 @@ def _run_model(config, dimension, mesh, state, fresh_state, step, measure):
     )
 
 
-def run(config: SimConfig, state: RodState3D = None,
-        initial: InitialData = None) -> RunResult:
-    """Advance the rod to the horizon; resumes from `state` when given.
-
-    A fresh run starts with the scenario's spin-up phase (driving fields
-    clamped at their t = 0 values, clock reset afterwards); a resumed run
-    continues the main phase from the state's own time.  Raises
-    InvalidParameterError for a planar config or resume state.
-    """
-    scn = config.scenario
-    mesh = uniform_mesh(config.n_vertices)
-    ctx = StepContext(mesh, scn, 3)
-
-    def step(st, gm, t, stats):
-        new, gnew, residual = solve_step(ctx, gm, config.dt, t, st)
-        stats.max_abs_x3 = max(stats.max_abs_x3, float(np.abs(new.x[:, 2]).max()))
-        beta_h = np.einsum("nd,nd->n", new.kappa, new.e2)
-        stats.max_abs_beta = max(stats.max_abs_beta, float(np.abs(beta_h).max()))
-        stats.max_abs_twist = max(stats.max_abs_twist, float(np.abs(new.twist).max()))
-        return new, gnew, residual
-
-    def measure(st, gm):
-        alpha, beta, gamma0 = ctx.drive(st.t)
-        kpref = alpha[:, None] * st.e1 + beta[:, None] * st.e2
-        energy = elastic_energy(
-            gm.w, ctx.bend_stiffness, st.kappa, kpref,
-            mesh.h * gm.s, ctx.twist_stiffness, st.twist, gamma0,
-        )
-        return energy, frame_error(gm, st.e1, st.e2)
-
-    return _run_model(config, 3, mesh, state,
-                      lambda: initial_state(mesh, scn, initial), step, measure)
+run2d = run  # a second name, for callers of the planar model's entry point

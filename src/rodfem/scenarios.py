@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .materials import IsotropicDrag, MaterialParams, ResistiveForceDrag, taper_profile
 
 FieldFunc = Callable[[np.ndarray, float], np.ndarray]
@@ -68,6 +68,8 @@ def _worm3d_kappa2(u, t):
 
 def builtin_scenario(name: str, eps: float = 0.05) -> Scenario:
     """One of the three library presets: relaxation, worm2d, worm3d."""
+    if not (np.isfinite(eps) and eps > 0.0):  # else the taper is not positive
+        raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
     if name == "relaxation":
         return Scenario(
             name="relaxation",

@@ -8,24 +8,21 @@ space, and twist and spin do not exist.
 
 This module holds the planar state and the step that maps it to the next
 one: the preferred curvature the step bends toward and the decode of its
-solution.  The unknown layout and the per-run constants are a dim = 2
-`assembly3d.StepContext`, the rows of the step system are the ones
-`assembly3d._rod_rows` puts for both models, the residual check is the
-spatial step's, and the step loop that `run2d` and `spun_up_state_2d` go
-through is owned by `engine3d`.
+solution, and the lift of a planar state into space.  The unknown layout
+and the per-run constants are a dim = 2 `assembly3d.StepContext`, the rows
+of the step system are the ones `assembly3d._rod_rows` puts for both
+models, and the residual check is the spatial step's.  `engine3d.run` runs
+this step when the config's dimension is 2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly3d import (StepContext, _decode_rod, _rod_rows,
+from .assembly3d import (RodState3D, _decode_rod, _rod_rows,
                          _solve_increment, _Triplets)
-from .diagnostics import elastic_energy
-from .engine3d import (RodState3D, RunResult, RunStats, SimConfig, _run_model,
-                       _spin_up)
 from .geometry import (Mesh, element_tangents, frozen_geometry, perp,
-                       uniform_mesh, vertex_curvature)
+                       vertex_curvature)
 
 
 @dataclass
@@ -84,49 +81,6 @@ def solve_step_2d(ctx, geom, dt, t_new, st):
     new = RodState2D(t_new, x, kappa, y, sol[ctx.layout.p_off],
                      st.rest_density)
     return new, frozen_geometry(ctx.mesh, x), res
-
-
-def _planar_model(config, mesh):
-    """The planar step and measure that the shared driver calls."""
-    ctx = StepContext(mesh, config.scenario, 2)
-
-    def step(st, gm, t, stats):
-        return solve_step_2d(ctx, gm, config.dt, t, st)
-
-    def measure(st, gm):
-        alpha = ctx.drive(st.t)[0]
-        energy = elastic_energy(gm.w, ctx.bend_stiffness, st.kappa,
-                                alpha[:, None] * perp(gm.ttau))
-        return energy, 0.0
-
-    return step, measure
-
-
-def spun_up_state_2d(config: SimConfig, stats: RunStats = None) -> RodState2D:
-    """Initial planar state after the scenario's spin-up phase.
-
-    The driving field is clamped at its t = 0 shape for the whole phase and
-    the clock is reset afterwards, so locomotion starts from a developed
-    waveform rather than a straight rod.  The phase's invariants go into
-    `stats` when given.
-    """
-    mesh = uniform_mesh(config.n_vertices)
-    step, _ = _planar_model(config, mesh)
-    state, _ = _spin_up(config, mesh, initial_state_2d(mesh, config.scenario),
-                        step, RunStats() if stats is None else stats)
-    return state
-
-
-def run2d(config: SimConfig, state: RodState2D = None) -> RunResult:
-    """Advance the planar rod to the horizon; resumes from `state` if given.
-
-    Raises InvalidParameterError for a spatial config or resume state.
-    """
-    mesh = uniform_mesh(config.n_vertices)
-    step, measure = _planar_model(config, mesh)
-    return _run_model(config, 2, mesh, state,
-                      lambda: initial_state_2d(mesh, config.scenario),
-                      step, measure)
 
 
 def embed_in_space(mesh: Mesh, state: RodState2D) -> RodState3D:

@@ -14,12 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from rodfem.engine3d import SimConfig, run, step_count
+from rodfem.engine3d import SimConfig, run, spun_up_state_2d, step_count
 from rodfem.geometry import Mesh, uniform_mesh, vertex_curvature
 from rodfem.initial import circle_arc, straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
-from rodfem.solver2d import embed_in_space, run2d, spun_up_state_2d
+from rodfem.solver2d import embed_in_space
 from rodfem.engine3d import RunStats
 
 LEVELS = range(5)
@@ -71,7 +71,7 @@ def relax_results():
 @pytest.fixture(scope="module")
 def worm2d_results():
     scn = builtin_scenario("worm2d")
-    return {l: run2d(level_config(scn, l, dimension=2)) for l in LEVELS}
+    return {l: run(level_config(scn, l, dimension=2)) for l in LEVELS}
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def compare_results():
         spin_stats = RunStats()
         planar0 = spun_up_state_2d(cfg2, spin_stats)
         spatial0 = embed_in_space(mesh, planar0)
-        res2 = run2d(cfg2, state=planar0)
+        res2 = run(cfg2, state=planar0)
         res3 = run(cfg3, state=spatial0)
         com2 = np.zeros(3)
         com2[:2] = res2.records[-1].com[:2]

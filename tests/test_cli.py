@@ -10,7 +10,6 @@ from rodfem import cli
 from rodfem.cli import build_scenario, main, parse_config
 from rodfem.errors import ConfigError
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
-from rodfem.solver2d import run2d
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -227,20 +226,42 @@ def test_compare_table_columns_and_agreement(tmp_path):
 @pytest.mark.parametrize("command", ["converge", "compare2d3d"])
 def test_refinement_studies_keep_no_snapshots(tmp_path, monkeypatch, command):
     # neither study writes snapshots, so a snapshot stride in the config
-    # must not make its levels keep state copies
+    # must not make its levels keep state copies; compare2d3d runs both
+    # models per level
     kept = []
+    inner = cli.run
 
-    def counting_run2d(*args, **kwargs):
-        result = run2d(*args, **kwargs)
+    def counting_run(*args, **kwargs):
+        result = inner(*args, **kwargs)
         kept.append(len(result.snapshots))
         return result
 
-    monkeypatch.setattr(cli, "run2d", counting_run2d)
+    monkeypatch.setattr(cli, "run", counting_run)
     cfg = write_cfg(tmp_path, "scenario.name = worm2d\nrun.dimension = 2\n"
                     "run.t_final = 2\noutput.snapshot_stride = 1\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                  "--levels", "0..1"]) == 0
-    assert kept == [2, 2]
+    assert kept == [2] * (2 if command == "converge" else 4)
+
+
+@pytest.mark.parametrize("command, out", [
+    ("run", "taken"),
+    ("run", "dangling"),
+    ("converge", "taken/sub"),
+])
+def test_out_that_cannot_be_a_directory_is_rejected_before_any_step(
+        tmp_path, monkeypatch, capsys, command, out):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: calls.append(1))
+    (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    cfg = write_cfg(tmp_path, "scenario.name = relaxation\n")
+    levels = [] if command == "run" else ["--levels", "0..1"]
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out),
+                 *levels]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["converge", "compare2d3d"])
@@ -348,6 +369,21 @@ def test_epsilon_without_a_tapered_profile_is_a_config_error(tmp_path, name,
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert "material.epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["worm2d", "worm3d"])
+@pytest.mark.parametrize("epsilon", ["-0.5", "0", "nan", "inf"])
+def test_epsilon_without_a_positive_taper_is_a_config_error(tmp_path, name,
+                                                           epsilon, capsys):
+    # eps <= -1 makes the stiffness negative, -1 < eps <= 0 zero or undefined
+    # at the ends: rejected by the key the config set
+    cfg = write_cfg(tmp_path, f"scenario.name = {name}\n"
+                    f"material.epsilon = {epsilon}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "material.epsilon" in err and "bend_stiffness" not in err
     assert not out.exists()
 
 

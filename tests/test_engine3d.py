@@ -5,13 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+import rodfem
 from rodfem.engine3d import SimConfig, initial_state, run, step_count
 from rodfem.errors import InvalidParameterError
 from rodfem.geometry import uniform_mesh
-from rodfem.initial import straight_rod
+from rodfem.initial import InitialData, circle_arc, straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
-from rodfem.solver2d import run2d
 
 from reference_dense import ref_step_3d, ref_transport, ref_tangents, ref_averaged_tangent
 
@@ -197,48 +197,66 @@ def test_resumed_run_reproduces_one_shot_run():
     assert tail.records[-1].step == 25
 
 
-MODELS = {"spatial": (run, 3), "planar": (run2d, 2)}
+MODELS = {"spatial": 3, "planar": 2}
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_resume_with_wrong_mesh_is_rejected(model):
-    driver, dim = MODELS[model]
+    dim = MODELS[model]
     scn = builtin_scenario("relaxation")
-    head = driver(SimConfig(scn, n_vertices=8, dt=1.0, t_final=2.0,
+    head = run(SimConfig(scn, n_vertices=8, dt=1.0, t_final=2.0,
                             dimension=dim))
     with pytest.raises(InvalidParameterError):
-        driver(SimConfig(scn, n_vertices=16, dt=1.0, dimension=dim),
+        run(SimConfig(scn, n_vertices=16, dt=1.0, dimension=dim),
                state=head.final_state)
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_resume_past_the_horizon_names_the_state_time_and_horizon(model):
-    driver, dim = MODELS[model]
+    dim = MODELS[model]
     scn = builtin_scenario("relaxation")
     pin = dict(n_vertices=8, dt=0.25, dimension=dim)
-    head = driver(SimConfig(scn, t_final=1.0, **pin))
+    head = run(SimConfig(scn, t_final=1.0, **pin))
     with pytest.raises(InvalidParameterError,
                        match=r"t=1\.0, past t_final=0\.5"):
-        driver(SimConfig(scn, t_final=0.5, **pin), state=head.final_state)
+        run(SimConfig(scn, t_final=0.5, **pin), state=head.final_state)
     # a state at the horizon, or a rounding past it, takes no step
-    tail = driver(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
+    tail = run(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
     assert tail.stats.steps == 0
     head.final_state.t = 1.0 + 1e-12
-    tail = driver(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
+    tail = run(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
     assert tail.stats.steps == 0
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_driver_rejects_the_other_models_config_and_state(model):
-    driver, dim = MODELS[model]
-    other_driver, other_dim = MODELS["planar" if dim == 3 else "spatial"]
+def test_run_rejects_the_other_models_state(model):
+    dim = MODELS[model]
     scn = builtin_scenario("relaxation")
     pin = dict(n_vertices=8, dt=1.0, t_final=2.0)
-    with pytest.raises(InvalidParameterError, match="config.dimension"):
-        driver(SimConfig(scn, dimension=other_dim, **pin))
-    other = other_driver(SimConfig(scn, dimension=other_dim, **pin))
+    other = run(SimConfig(scn, dimension=2 if dim == 3 else 3, **pin))
     with pytest.raises(InvalidParameterError, match="resume state"):
-        driver(SimConfig(scn, dimension=dim, **pin), state=other.final_state)
+        run(SimConfig(scn, dimension=dim, **pin), state=other.final_state)
+
+
+def test_run2d_is_run():
+    assert rodfem.run2d is rodfem.run
+
+
+ARC = circle_arc(uniform_mesh(16), 5.0, 0.2)
+
+
+@pytest.mark.parametrize("dim, initial", [
+    pytest.param(3, circle_arc(uniform_mesh(8), 5.0, 0.2), id="other-mesh"),
+    pytest.param(3, InitialData(ARC.x[:, :2], ARC.e1[:, :2], ARC.e2[:, :2]),
+                 id="planar-shape"),
+    pytest.param(2, ARC, id="planar-model"),
+])
+def test_initial_data_of_another_shape_is_rejected(dim, initial):
+    cfg = SimConfig(builtin_scenario("relaxation"), n_vertices=16, dt=0.25,
+                    t_final=0.5, dimension=dim)
+    with pytest.raises(InvalidParameterError,
+                       match=r"initial data x, e1, e2 have shapes \[\("):
+        run(cfg, initial=initial)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -246,8 +264,8 @@ def test_driver_rejects_the_other_models_config_and_state(model):
 def test_tiny_rods_solve_below_the_band_height(model, n):
     # n = 3 and 4 give systems with fewer unknowns than band rows
     # (kl + ku + 1), the padded case of the band product
-    driver, dim = MODELS[model]
-    res = driver(SimConfig(builtin_scenario("relaxation"), n_vertices=n,
+    dim = MODELS[model]
+    res = run(SimConfig(builtin_scenario("relaxation"), n_vertices=n,
                            dt=0.5, t_final=2.0, dimension=dim))
     assert res.stats.steps == 4
     assert 0.0 < res.stats.max_solver_residual < 1e-13
@@ -261,12 +279,12 @@ def test_tiny_rods_solve_below_the_band_height(model, n):
 def test_a_non_finite_preferred_curvature_is_rejected_by_name(model, preset):
     # 1/u is infinite at the first vertex, which only the end curvature and
     # the energy see in the plane: rejected, not run to a NaN energy
-    driver, dim = MODELS[model]
+    dim = MODELS[model]
     scn = dataclasses.replace(builtin_scenario(preset), spin_up=0.0,
                               kappa1_pref=compile_expr("1/u"))
     with pytest.raises(InvalidParameterError,
                        match=r"scenario\.alpha0 .* at t=0: inf at vertex 0"):
-        driver(SimConfig(scn, dt=0.25, t_final=1.0, dimension=dim))
+        run(SimConfig(scn, dt=0.25, t_final=1.0, dimension=dim))
 
 
 def test_spin_up_phase_develops_the_waveform_and_resets_the_clock():
@@ -288,7 +306,7 @@ def test_each_drive_field_is_evaluated_once_per_step_time(model, preset):
     # assembly, end curvatures, twist law and energy of one step time share
     # one evaluation of each preferred field; the planar model evaluates
     # neither the second curvature nor the twist
-    driver, dim = MODELS[model]
+    dim = MODELS[model]
     scn = builtin_scenario(preset)
     calls = {}
 
@@ -302,7 +320,7 @@ def test_each_drive_field_is_evaluated_once_per_step_time(model, preset):
 
     names = ("kappa1_pref", "kappa2_pref", "twist_pref")
     counted_scn = dataclasses.replace(scn, **{k: counted(k) for k in names})
-    res = driver(SimConfig(counted_scn, n_vertices=16, dt=1.0 / 16.0,
+    res = run(SimConfig(counted_scn, n_vertices=16, dt=1.0 / 16.0,
                            t_final=1.0, dimension=dim))
     assert res.stats.steps == 96
     times = [k / 16.0 for k in range(17)]   # spin-up at 0, then the steps

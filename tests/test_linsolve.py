@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rodfem import SimConfig, builtin_scenario, linsolve, uniform_mesh
+from rodfem import (SimConfig, builtin_scenario, linsolve, spun_up_state_2d,
+                    uniform_mesh)
 from rodfem.assembly3d import StepContext, frozen_geometry
 from rodfem.errors import AssemblyError, SingularMatrixError
 from rodfem.linsolve import BandedLU, BandedMatrix, factorize, solve
-from rodfem.solver2d import assemble_step_2d, spun_up_state_2d
+from rodfem.solver2d import assemble_step_2d
 
 from reference_dense import band_from_dense, dense_from_band
 

@@ -26,7 +26,7 @@ def test_trajectory_digest_prints_one_hash_per_case():
     proc = run_script("trajectory_digest.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 15
     for line in lines:
         assert re.fullmatch(r"\S+ +[0-9a-f]{64}", line), line
 

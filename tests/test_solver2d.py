@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from rodfem.assembly3d import DofLayout
-from rodfem.engine3d import SimConfig, run
+from rodfem.engine3d import SimConfig, run, spun_up_state_2d
 from rodfem.errors import InvalidParameterError
 from rodfem.geometry import uniform_mesh
-from rodfem.solver2d import (
-    embed_in_space,
-    initial_state_2d,
-    run2d,
-    spun_up_state_2d,
-)
+from rodfem.solver2d import embed_in_space, initial_state_2d
 from rodfem.scenarios import builtin_scenario
 from rodfem.materials import ResistiveForceDrag
 
@@ -56,7 +51,7 @@ def test_two_steps_match_dense_reference():
     scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=0.0)
     n, dt = 8, 0.25
     cfg = SimConfig(scn, n_vertices=n, dt=dt, t_final=2 * dt, dimension=2)
-    res = run2d(cfg)
+    res = run(cfg)
     mesh = uniform_mesh(n)
     k = scn.drag.k
     drag_of_tau = lambda t: np.outer(t, t) + k * (np.eye(2) - np.outer(t, t))  # noqa: E731
@@ -83,7 +78,7 @@ def test_only_the_spatial_model_samples_the_twist_fields():
         worm, spin_up=0.0,
         material=dataclasses.replace(worm.material, twist_stiffness=0.0))
     pin = dict(n_vertices=8, dt=0.5, t_final=1.0)
-    assert run2d(SimConfig(scn, dimension=2, **pin)).stats.steps == 2
+    assert run(SimConfig(scn, dimension=2, **pin)).stats.steps == 2
     with pytest.raises(InvalidParameterError, match="twist_stiffness"):
         run(SimConfig(scn, **pin))
 
@@ -100,7 +95,7 @@ def test_spun_up_state_is_developed_with_clock_reset():
 
 def test_planar_records_have_no_frame_error_column_content():
     scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=0.0)
-    res = run2d(SimConfig(scn, n_vertices=8, dt=0.5, t_final=1.0, dimension=2))
+    res = run(SimConfig(scn, n_vertices=8, dt=0.5, t_final=1.0, dimension=2))
     assert all(r.f2 == 0.0 and r.f2_increment == 0.0 for r in res.records)
     assert all(r.com.shape == (2,) for r in res.records)
 
@@ -113,7 +108,7 @@ def test_embedding_reproduces_planar_dynamics_exactly():
     mesh = uniform_mesh(n)
     st2 = initial_state_2d(mesh, scn)
     st3 = embed_in_space(mesh, st2)
-    res2 = run2d(SimConfig(scn, n_vertices=n, dt=dt, t_final=T, dimension=2),
+    res2 = run(SimConfig(scn, n_vertices=n, dt=dt, t_final=T, dimension=2),
                  state=st2)
     res3 = run(SimConfig(scn, n_vertices=n, dt=dt, t_final=T), state=st3)
     f2, f3 = res2.final_state, res3.final_state
@@ -140,9 +135,9 @@ def test_embedded_state_shape():
 def test_resumed_planar_run_reproduces_one_shot_run():
     scn = builtin_scenario("worm2d")
     pin = dict(n_vertices=16, dt=0.25, dimension=2)
-    full = run2d(SimConfig(scn, t_final=4.0, **pin))
-    head = run2d(SimConfig(scn, t_final=1.5, **pin))
-    tail = run2d(SimConfig(scn, t_final=4.0, **pin), state=head.final_state)
+    full = run(SimConfig(scn, t_final=4.0, **pin))
+    head = run(SimConfig(scn, t_final=1.5, **pin))
+    tail = run(SimConfig(scn, t_final=4.0, **pin), state=head.final_state)
     np.testing.assert_allclose(tail.final_state.x, full.final_state.x,
                                atol=1e-13)
     np.testing.assert_allclose(tail.final_state.kappa,
