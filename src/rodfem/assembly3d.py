@@ -4,12 +4,16 @@ step system that the spatial and the planar model share.
 The spatial step solves simultaneously for position, bending moment,
 twist density, and line tension: 8 unknowns per vertex, 5 in the plane.
 All geometric coefficients (tangents, length elements, quadrature weights,
-drag matrices) are frozen at the previous step, which makes the system
-linear.  The curvature, the twist moment and the tangential spin rate are
-not unknowns of the solve: with the lumped weights the curvature identity
-is diagonal in the curvature, the twist law in the twist moment and the
-angular-momentum balance in the spin, so each is substituted into the
-other rows and recovered from the solution afterwards.  Unknowns are
+tangent projectors, drag matrices) are frozen at the previous step, which
+makes the system linear.  They live in the previous state's
+`geometry.FrozenGeometry`, computed once per state by `frozen_geometry`; the
+assembly and the decode read them from there, and the drag model builds
+its matrices from it.  The curvature, the twist moment and the tangential
+spin rate are not unknowns of the solve: with the lumped weights the
+curvature identity is diagonal in the curvature, the twist law in the
+twist moment and the angular-momentum balance in the spin, so each is
+substituted into the other rows and recovered from the solution
+afterwards.  Unknowns are
 interleaved along the rod so the matrix is banded with a
 resolution-independent bandwidth; each row is put in the slot of the
 unknown it pivots on, which keeps the band that `DofLayout` declares 10
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError, SolverError
 from .frame import transport_frame
-from .geometry import Mesh, cross, frozen_geometry
+from .geometry import Mesh, cross, frozen_geometry, identity
 from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
 
@@ -142,7 +146,7 @@ class _Triplets:
         Non-finite matrix entries are left to `factorize`, which rejects
         them for every matrix it is given.
         """
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise AssemblyError(
                 f"non-finite entries in the {what} right-hand side")
         if self.recording:
@@ -172,8 +176,9 @@ def _solve_increment(matrix, b, c, what, t_new):
     # c is assembled from position differences because b - A·base in
     # float64 would round at the size of the coordinates.
     sol, r = solve(factorize(matrix), c)
-    bnorm = np.linalg.norm(b)
-    res = float(np.linalg.norm(r) / (bnorm if bnorm > 0.0 else 1.0))
+    # the cores of np.linalg.norm(b) and norm(r), without its dispatch
+    bnorm = np.sqrt(b.dot(b))
+    res = float(np.sqrt(r.dot(r)) / (bnorm if bnorm > 0.0 else 1.0))
     if not res <= RESIDUAL_TOL:
         raise SolverError(
             f"{what} at t={t_new} left relative residual {res:.3e} "
@@ -195,10 +200,10 @@ def _decode_rod(ctx, geom, x, sol):
     """
     lay = ctx.layout
     inc = sol[lay.x_slots]
-    dx = (x[1:] - x[:-1]) + (inc[1:] - inc[:-1])
-    a = 1.0 / (ctx.mesh.h * geom.s)
-    y = np.zeros_like(x)
-    kappa = np.zeros_like(x)
+    dx = geom.dx + (inc[1:] - inc[:-1])
+    a = 1.0 / geom.hs
+    y = np.zeros(x.shape)
+    kappa = np.zeros(x.shape)
     y[1:-1] = sol[lay.y_slots]
     kappa[1:-1] = (a[1:, None] * dx[1:]
                    - a[:-1, None] * dx[:-1]) / geom.w[1:-1, None]
@@ -308,6 +313,7 @@ class StepContext:
     scenario: Scenario
     dim: int
     layout: DofLayout = field(init=False, repr=False)
+    eye: np.ndarray = field(init=False, repr=False)               # (dim, dim)
     bend_stiffness: np.ndarray = field(init=False, repr=False)    # vertices
     bend_viscosity: np.ndarray = field(init=False, repr=False)    # vertices
     twist_stiffness: np.ndarray = field(init=False, default=None,
@@ -320,6 +326,7 @@ class StepContext:
     def __post_init__(self):
         mat = self.scenario.material
         self.layout = DofLayout(self.mesh.n_vertices, self.dim)
+        self.eye = identity(self.dim)
         self.bend_stiffness = mat.bend_stiffness_at(self.mesh.u)
         self.bend_viscosity = mat.bend_viscosity_at(self.mesh.u)
         if self.dim == 3:
@@ -395,39 +402,39 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     """
     mesh, layout = ctx.mesh, ctx.layout
     n = mesh.n_vertices
-    h = mesh.h
-    tau, ttau, w = geom.tau, geom.ttau, geom.w
-    hs = h * geom.s
-    eye = np.eye(x.shape[1])
+    tau, ttau, w, hs, dx = geom.tau, geom.ttau, geom.w, geom.hs, geom.dx
+    eye = ctx.eye
 
-    K = ctx.scenario.drag.element_matrices(tau)                 # (ne,d,d)
-    P = eye[None] - tau[:, :, None] * tau[:, None, :]           # (ne,d,d)
+    K = ctx.scenario.drag._frozen_matrices(geom)                # (ne,d,d)
 
     xo, yo, po = layout.x_off, layout.y_off, layout.p_off
     fo, lo = layout.mom_off, layout.law_off       # momentum, bending law
     ii = slice(1, n - 1)        # interior vertices
+    yi = yo[ii]
     A_i = ctx.bend_stiffness[ii]
-    B_i = ctx.bend_viscosity[ii]
-    dx = x[1:] - x[:-1]
+    B_dt = ctx.bend_viscosity[ii] / dt
 
-    # -- momentum balance at every vertex
+    # -- momentum balance at every vertex; each element's drag is split
+    # evenly between its two end vertices
+    half = 0.5 * hs[:, None, None] * K
     drag_lumped = np.zeros((n,) + K.shape[1:])
-    drag_lumped[:-1] += 0.5 * hs[:, None, None] * K
-    drag_lumped[1:] += 0.5 * hs[:, None, None] * K
+    drag_lumped[:-1] += half
+    drag_lumped[1:] += half
     m.put_blocks(fo, xo, drag_lumped / dt)
     b[layout.mom_rows] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
 
     # tension forces of element e on its two end vertices
+    ntau = -tau
     m.put_vec_rows(fo[:-1], po, tau)
-    m.put_vec_rows(fo[1:], po, -tau)
+    m.put_vec_rows(fo[1:], po, ntau)
 
     # transverse bending force, projected difference of the bending moment
-    coefP = P / hs[:, None, None]
+    coefP = geom.proj / hs[:, None, None]
     # from the elements left (coefP[:-1]) and right (coefP[1:]) of each
     # interior vertex; the diagonal block is put once, as one sum
-    m.put_blocks(fo[:-2], yo[ii], coefP[:-1])
-    m.put_blocks(fo[ii], yo[ii], -(coefP[:-1] + coefP[1:]))
-    m.put_blocks(fo[2:], yo[ii], coefP[1:])
+    m.put_blocks(fo[:-2], yi, coefP[:-1])
+    m.put_blocks(fo[ii], yi, -(coefP[:-1] + coefP[1:]))
+    m.put_blocks(fo[2:], yi, coefP[1:])
 
     # -- bending law at interior vertices, with the curvature given by the
     # positions
@@ -435,31 +442,32 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     Pt = eye[None] - ti[:, :, None] * ti[:, None, :]
     kmat = (
         -A_i[:, None, None] * eye[None]
-        - (B_i / dt)[:, None, None] * Pt
+        - B_dt[:, None, None] * Pt
         + gyro
     )
-    a_l = 1.0 / hs[:-1]
-    a_r = 1.0 / hs[1:]
-    m.put_diag(lo, yo[ii], w[ii])
+    a = 1.0 / hs
+    a_l, a_r = a[:-1], a[1:]
+    m.put_diag(lo, yi, w[ii])
     m.put_blocks(lo, xo[:-2], a_l[:, None, None] * kmat)
     m.put_blocks(lo, xo[ii], -(a_l + a_r)[:, None, None] * kmat)
     m.put_blocks(lo, xo[2:], a_r[:, None, None] * kmat)
     b[layout.law_rows] = w[ii][:, None] * (
         -A_pref
-        - (B_i / dt)[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
+        - B_dt[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
     )
 
     # -- inextensibility per element (tension rows)
     m.put_vec_cols(po, xo[1:], tau)
-    m.put_vec_cols(po, xo[:-1], -tau)
-    b[po] = h * rest_density
+    m.put_vec_cols(po, xo[:-1], ntau)
+    pinned = mesh.h * rest_density
+    b[po] = pinned
 
     # -- c row by row: rows without a position column keep b
     c = b.copy()
     c[layout.mom_rows] = 0.0
     c[layout.law_rows] -= np.einsum(
         "nij,nj->ni", kmat, a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1])
-    c[po] = h * rest_density - np.einsum("ed,ed->e", tau, dx)
+    c[po] = pinned - np.einsum("ed,ed->e", tau, dx)
     return c
 
 
@@ -509,8 +517,7 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb):
     mesh = ctx.mesh
     lay = ctx.layout
     n = mesh.n_vertices
-    tau, ttau = geom.tau, geom.ttau
-    hs = mesh.h * geom.s
+    tau, ttau, hs = geom.tau, geom.ttau, geom.hs
 
     x, kappa = st.x, st.kappa
     kbar = 0.5 * (kappa[:-1] + kappa[1:])
@@ -539,7 +546,7 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb):
     m.put_vec_cols(go, xo[1:], tk / dt)
     m.put_vec_cols(go, xo[:-1], -tk / dt)
     c_twist = hs * st.twist / dt + sb[:-1] * inv[:-1] - sb[1:] * inv[1:]
-    b[go] = c_twist + np.einsum("ed,ed->e", tk, x[1:] - x[:-1]) / dt
+    b[go] = c_twist + np.einsum("ed,ed->e", tk, geom.dx) / dt
 
     # -- the rows the planar model shares, bent toward alpha e1 + beta e2
     A_i = ctx.bend_stiffness[ii]

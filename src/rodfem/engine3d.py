@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly3d import RodState3D, StepContext, solve_step
-from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
-                          length_error)
+from .diagnostics import DiagnosticsRecord, center_of_mass, elastic_energy
 from .errors import InvalidParameterError
 from .frame import frame_error
 from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
@@ -124,7 +123,8 @@ def initial_state(mesh: Mesh, scenario: Scenario, data: InitialData = None) -> R
 
 
 def _check_model(config, mesh, state, initial):
-    """Reject a resume state or initial data made for another model or mesh."""
+    """Reject a resume state or initial data made for another model or
+    mesh, and initial data with a non-finite entry."""
     want = (mesh.n_vertices, config.dimension)
     if state is not None and state.x.shape != want:
         raise InvalidParameterError(
@@ -139,19 +139,26 @@ def _check_model(config, mesh, state, initial):
                 f"{config.dimension}-d model on this mesh takes "
                 f"{'none' if config.dimension == 2 else [want] * 3}"
             )
+        for name in ("x", "e1", "e2"):
+            a = getattr(initial, name)
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+            if bad.size:
+                raise InvalidParameterError(
+                    f"initial data {name} is not finite at vertex {bad[0]}: "
+                    f"{a[bad[0]]}"
+                )
 
 
 def _advance(mesh, state, geom, t, step, stats):
     """Take one step, then probe the invariants of the step just taken."""
     new, gnew, residual = step(state, geom, t, stats)
     rest = state.rest_density
-    dx = new.x[1:] - new.x[:-1]
-    cres = np.einsum("ed,ed->e", geom.tau, dx) - mesh.h * rest
+    cres = np.einsum("ed,ed->e", geom.tau, gnew.dx) - mesh.h * rest
     stats.max_constraint_residual = max(
         stats.max_constraint_residual, float(np.abs(cres).max())
     )
-    shrink = 1.0 - 0.5 * np.sum((gnew.tau - geom.tau) ** 2, axis=1)
-    if np.any(shrink <= 0.0):
+    shrink = 1.0 - 0.5 * np.add.reduce((gnew.tau - geom.tau) ** 2, axis=1)
+    if (shrink <= 0.0).any():
         identity_defect = np.inf
     else:
         identity_defect = float(
@@ -201,7 +208,7 @@ def _spatial_model(config, mesh, initial):
         kpref = alpha[:, None] * st.e1 + beta[:, None] * st.e2
         energy = elastic_energy(
             gm.w, ctx.bend_stiffness, st.kappa, kpref,
-            mesh.h * gm.s, ctx.twist_stiffness, st.twist, gamma0,
+            gm.hs, ctx.twist_stiffness, st.twist, gamma0,
         )
         return energy, frame_error(gm, st.e1, st.e2)
 
@@ -279,13 +286,13 @@ def run(config: SimConfig, state=None,
     def record(st, gm, step_index):
         nonlocal prev_f2
         energy, f2 = measure(st, gm)
-        hs = mesh.h * gm.s
-        f1 = length_error(hs, config.scenario.length)
+        total = float(gm.hs.sum())
+        f1 = abs(total - config.scenario.length)  # length_error(gm.hs, ...)
         inc = 0.0 if prev_f2 is None else f2 - prev_f2
         prev_f2 = f2
         records.append(DiagnosticsRecord(
             step=step_index, t=st.t, energy=energy, f1=f1, f2=f2,
-            f2_increment=inc, total_length=float(hs.sum()),
+            f2_increment=inc, total_length=total,
             com=center_of_mass(mesh, st.x, gm.s),
             s_min=float(gm.s.min()), s_max=float(gm.s.max()),
         ))

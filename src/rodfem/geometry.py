@@ -7,6 +7,7 @@ dimension-agnostic where the formula permits: positions may be (N, 2) or
 (N, 3) arrays.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,16 +71,23 @@ def element_tangents(mesh: Mesh, x: np.ndarray):
     norm of the parameter derivative of x, so that h_e * s_e is the element's
     arc length.  Raises DegenerateGeometryError if an element has zero length.
     """
-    dx = np.diff(x, axis=0)
-    chord = np.linalg.norm(dx, axis=1)
-    if not np.all(chord > 0.0):
+    return _tangents(mesh, np.diff(x, axis=0))
+
+
+def _row_norms(v):
+    # the core of np.linalg.norm(v, axis=1), without its dispatch
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
+def _tangents(mesh, dx):
+    """(tau, s) of the element differences dx; see `element_tangents`."""
+    chord = _row_norms(dx)
+    if not (chord > 0.0).all():
         bad = int(np.argmin(chord))
         raise DegenerateGeometryError(
             f"element {bad} has zero length (coincident vertices)"
         )
-    s = chord / mesh.h
-    tau = dx / chord[:, None]
-    return tau, s
+    return dx / chord[:, None], chord / mesh.h
 
 
 def averaged_tangent(tau: np.ndarray) -> np.ndarray:
@@ -95,8 +103,8 @@ def averaged_tangent(tau: np.ndarray) -> np.ndarray:
     ttau[-1] = tau[-1]
     if n_el > 1:
         mean = tau[:-1] + tau[1:]
-        norm = np.linalg.norm(mean, axis=1)
-        if np.any(norm <= ANTIPARALLEL_TOL):
+        norm = _row_norms(mean)
+        if (norm <= ANTIPARALLEL_TOL).any():
             bad = int(np.argmin(norm)) + 1
             raise DegenerateGeometryError(
                 f"adjacent tangents antiparallel at vertex {bad}"
@@ -111,26 +119,57 @@ def lumped_weights(mesh: Mesh, s: np.ndarray) -> np.ndarray:
     These are the weights of the vertex (trapezoidal) quadrature used for all
     products of vertex fields; they sum to the total arc length.
     """
-    hs = mesh.h * s
-    w = np.zeros(mesh.n_vertices)
-    w[:-1] += 0.5 * hs
-    w[1:] += 0.5 * hs
+    return _weights(mesh.h * s)
+
+
+def _weights(hs):
+    """`lumped_weights` of the element lengths hs."""
+    half = 0.5 * hs
+    w = np.zeros(hs.size + 1)
+    w[:-1] += half
+    w[1:] += half
     return w
+
+
+@functools.cache
+def identity(dim: int) -> np.ndarray:
+    """The read-only (dim, dim) identity, made once per dimension."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
 class FrozenGeometry:
-    """Geometry of the previous step, reused as step coefficients."""
+    """Geometry of one rod state, which the step from it freezes as its
+    coefficients.
 
-    tau: np.ndarray   # unit element tangents (ne, dim)
-    s: np.ndarray     # length elements |x_u| per element (ne,)
-    ttau: np.ndarray  # averaged vertex tangents (n, dim)
-    w: np.ndarray     # lumped vertex weights (n,)
+    `frozen_geometry` is the one place these are computed, once per new
+    state; the step's assembly, its decode, the invariant probe and the
+    diagnostics record read them from here.  outer and proj are the
+    tangent projectors tau tau^T and I - tau tau^T of each element, which
+    the bending force and the resistive-force drag share.
+    """
+
+    tau: np.ndarray    # unit element tangents (ne, dim)
+    s: np.ndarray      # length elements |x_u| per element (ne,)
+    ttau: np.ndarray   # averaged vertex tangents (n, dim)
+    w: np.ndarray      # lumped vertex weights (n,)
+    hs: np.ndarray     # element arc lengths h * s (ne,)
+    dx: np.ndarray     # element differences x[1:] - x[:-1] (ne, dim)
+    outer: np.ndarray  # tau tau^T per element (ne, dim, dim)
+    proj: np.ndarray   # I - tau tau^T per element (ne, dim, dim)
 
 
 def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
-    tau, s = element_tangents(mesh, x)
-    return FrozenGeometry(tau, s, averaged_tangent(tau), lumped_weights(mesh, s))
+    """The `FrozenGeometry` of positions x; raises DegenerateGeometryError
+    as `element_tangents` and `averaged_tangent` do."""
+    dx = x[1:] - x[:-1]
+    tau, s = _tangents(mesh, dx)
+    hs = mesh.h * s
+    outer = tau[:, :, None] * tau[:, None, :]
+    return FrozenGeometry(tau, s, averaged_tangent(tau), _weights(hs), hs,
+                          dx, outer, identity(tau.shape[1]) - outer)
 
 
 def vertex_curvature(mesh: Mesh, x: np.ndarray) -> np.ndarray:

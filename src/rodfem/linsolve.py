@@ -132,7 +132,7 @@ def factorize(m: BandedMatrix) -> BandedLU:
     Partial pivoting is always on; an exact zero pivot surviving the pivot
     search means the matrix is singular.
     """
-    if not np.all(np.isfinite(m.data)):
+    if not np.isfinite(m.data).all():
         raise AssemblyError("matrix contains non-finite entries")
     lu, ipiv, info = lapack.dgbtrf(m.data, m.kl, m.ku)
     if info < 0:

@@ -106,6 +106,10 @@ class IsotropicDrag:
             self.matrix[:dim, :dim], (tau.shape[0], dim, dim)
         ).copy()
 
+    def _frozen_matrices(self, geom) -> np.ndarray:
+        """`element_matrices` of a step's `FrozenGeometry`."""
+        return self.element_matrices(geom.tau)
+
 
 @dataclass
 class ResistiveForceDrag:
@@ -124,14 +128,25 @@ class ResistiveForceDrag:
             )
 
     def element_matrices(self, tau: np.ndarray) -> np.ndarray:
+        """Per-element K(tau); raises InvalidParameterError unless every
+        tangent is a unit vector to within 1e-12."""
         tau = np.asarray(tau, dtype=float)
-        norms = np.linalg.norm(tau, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
+        outer = tau[:, :, None] * tau[:, None, :]
+        return self._matrices(outer, np.eye(tau.shape[1]) - outer)
+
+    def _frozen_matrices(self, geom) -> np.ndarray:
+        """`element_matrices` of a step's `FrozenGeometry`, built from the
+        tangent projectors it carries."""
+        return self._matrices(geom.outer, geom.proj)
+
+    def _matrices(self, outer, proj):
+        # the diagonal of tau tau^T sums to |tau|^2 in the order norm() takes
+        norms = np.sqrt(outer.trace(axis1=1, axis2=2))
+        err = np.abs(norms - 1.0)
+        if not (err <= 1e-12).all():    # a NaN tangent fails too
+            bad = int(np.argmax(err))
             raise InvalidParameterError(
-                f"tangents must be unit vectors (element {bad}: |tau| = {norms[bad]!r})"
+                f"tangents must be unit vectors (element {bad}: "
+                f"|tau| = {float(norms[bad])!r})"
             )
-        dim = tau.shape[1]
-        outer = np.einsum("ei,ej->eij", tau, tau)
-        eye = np.broadcast_to(np.eye(dim), outer.shape)
-        return outer + self.k * (eye - outer)
+        return outer + self.k * proj

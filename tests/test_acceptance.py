@@ -9,14 +9,13 @@ must not be retuned to force a verdict.
 """
 
 import dataclasses
-import time
 
 import numpy as np
 import pytest
 
-from rodfem.engine3d import SimConfig, run, spun_up_state_2d, step_count
+from rodfem.engine3d import SimConfig, run, spun_up_state_2d
 from rodfem.geometry import Mesh, uniform_mesh, vertex_curvature
-from rodfem.initial import circle_arc, straight_rod
+from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
 from rodfem.solver2d import embed_in_space

@@ -10,7 +10,7 @@ from rodfem.engine3d import SimConfig, initial_state, run, step_count
 from rodfem.errors import InvalidParameterError
 from rodfem.geometry import uniform_mesh
 from rodfem.initial import InitialData, circle_arc, straight_rod
-from rodfem.materials import IsotropicDrag, ResistiveForceDrag
+from rodfem.materials import ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
 
 from reference_dense import ref_step_3d, ref_transport, ref_tangents, ref_averaged_tangent
@@ -257,6 +257,20 @@ def test_initial_data_of_another_shape_is_rejected(dim, initial):
     with pytest.raises(InvalidParameterError,
                        match=r"initial data x, e1, e2 have shapes \[\("):
         run(cfg, initial=initial)
+
+
+@pytest.mark.parametrize("name", ["x", "e1", "e2"])
+def test_initial_data_with_a_non_finite_entry_is_rejected(name):
+    # before the check, a NaN position surfaced as a zero-length element
+    mesh = uniform_mesh(8)
+    data = circle_arc(mesh, 5.0, 0.2)
+    bad = getattr(data, name).copy()
+    bad[3, 1] = np.nan
+    cfg = SimConfig(builtin_scenario("relaxation"), n_vertices=8, dt=0.25,
+                    t_final=0.5)
+    with pytest.raises(InvalidParameterError,
+                       match=rf"initial data {name} is not finite at vertex 3"):
+        run(cfg, initial=dataclasses.replace(data, **{name: bad}))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rodfem.errors import DegenerateGeometryError, InvalidMeshError
+from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.geometry import (
     Mesh,
     averaged_tangent,
     cross,
     element_tangents,
     element_twist,
+    frozen_geometry,
     lumped_weights,
     perp,
     total_length,
@@ -208,3 +210,71 @@ def test_curvature_is_orthogonal_to_vertex_tangent(offsets):
     dots = np.einsum("id,id->i", kappa, ttau)
     scale = 1.0 + np.linalg.norm(kappa, axis=1)
     assert np.all(np.abs(dots) <= 1e-12 * scale)
+
+
+# --- the frozen geometry of a step -------------------------------------------
+
+
+def same_bits(a, b):
+    """a and b agree in shape, dtype and every bit (signed zeros too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def rods(draw):
+    """A mesh and a 2-D or 3-D polyline on it whose first coordinate
+    increases along every element, so no element collapses and no two
+    adjacent tangents are antiparallel."""
+    n = draw(st.integers(3, 12))
+    dim = draw(st.sampled_from([2, 3]))
+    gaps = draw(arrays(np.float64, n - 1, elements=st.floats(0.1, 1.0)))
+    u = np.concatenate([[0.0], np.cumsum(gaps)])
+    u /= u[-1]
+    u[-1] = 1.0
+    mesh = Mesh(u)
+    along = draw(arrays(np.float64, n - 1, elements=st.floats(0.05, 2.0)))
+    across = draw(arrays(np.float64, (n, dim - 1),
+                         elements=st.floats(-1.0, 1.0)))
+    x = np.column_stack([np.concatenate([[0.0], np.cumsum(along)]), across])
+    return mesh, x
+
+
+@given(rods())
+@settings(max_examples=60, deadline=None)
+def test_frozen_geometry_carries_what_its_readers_formed(rod):
+    mesh, x = rod
+    geom = frozen_geometry(mesh, x)
+    tau, s = element_tangents(mesh, x)
+    outer = tau[:, :, None] * tau[:, None, :]
+    assert same_bits(geom.tau, tau)
+    assert same_bits(geom.s, s)
+    assert same_bits(geom.ttau, averaged_tangent(tau))
+    assert same_bits(geom.w, lumped_weights(mesh, s))
+    assert same_bits(geom.hs, mesh.h * s)
+    assert same_bits(geom.dx, np.diff(x, axis=0))
+    assert same_bits(geom.outer, outer)
+    assert same_bits(geom.proj, np.eye(x.shape[1]) - outer)
+    # and the tangents are the ones np.linalg.norm normalises
+    chord = np.linalg.norm(np.diff(x, axis=0), axis=1)
+    assert same_bits(tau, np.diff(x, axis=0) / chord[:, None])
+    assert same_bits(s, chord / mesh.h)
+
+
+@given(rods())
+@settings(max_examples=40, deadline=None)
+def test_each_drag_builds_the_same_matrices_from_the_frozen_geometry(rod):
+    mesh, x = rod
+    geom = frozen_geometry(mesh, x)
+    for drag in (IsotropicDrag(np.diag([1.0, 2.0, 3.0])),
+                 ResistiveForceDrag(40.0)):
+        assert same_bits(drag._frozen_matrices(geom),
+                         drag.element_matrices(geom.tau))
+
+
+def test_frozen_geometry_rejects_a_collapsed_element():
+    mesh = uniform_mesh(4)
+    x = np.zeros((4, 2))
+    x[:, 0] = [0.0, 0.5, 0.5, 1.0]
+    with pytest.raises(DegenerateGeometryError, match="element 1"):
+        frozen_geometry(mesh, x)

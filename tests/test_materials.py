@@ -1,9 +1,12 @@
 """Material parameter sampling and drag models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rodfem.errors import InvalidParameterError
+from rodfem.geometry import frozen_geometry, uniform_mesh
 from rodfem.materials import (
     IsotropicDrag,
     MaterialParams,
@@ -106,3 +109,29 @@ def test_resistive_force_drag_rejects_bad_input():
         ResistiveForceDrag(0.0)
     with pytest.raises(InvalidParameterError):
         ResistiveForceDrag(5.0).element_matrices(np.array([[2.0, 0.0, 0.0]]))
+
+
+def nan_tangent_geometry(dim):
+    """The frozen geometry of a bent rod, with element 1's tangent NaN."""
+    mesh = uniform_mesh(4)
+    x = np.zeros((4, dim))
+    x[:, 0] = mesh.u
+    x[2, 1] = 0.1
+    geom = frozen_geometry(mesh, x)
+    tau = geom.tau.copy()
+    tau[1] = np.nan
+    outer = tau[:, :, None] * tau[:, None, :]
+    return dataclasses.replace(geom, tau=tau, outer=outer,
+                               proj=np.eye(dim) - outer)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_resistive_force_drag_rejects_a_nan_tangent(dim):
+    # |nan - 1| > 1e-12 is False, so a check written that way let it pass
+    drag = ResistiveForceDrag(5.0)
+    tau = np.zeros((1, dim))
+    tau[0, 0] = np.nan
+    with pytest.raises(InvalidParameterError, match=r"element 0: \|tau\| = nan"):
+        drag.element_matrices(tau)
+    with pytest.raises(InvalidParameterError, match=r"element 1: \|tau\| = nan"):
+        drag._frozen_matrices(nan_tangent_geometry(dim))

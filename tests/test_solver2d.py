@@ -11,7 +11,6 @@ from rodfem.errors import InvalidParameterError
 from rodfem.geometry import uniform_mesh
 from rodfem.solver2d import embed_in_space, initial_state_2d
 from rodfem.scenarios import builtin_scenario
-from rodfem.materials import ResistiveForceDrag
 
 from reference_dense import ref_step_2d
 
