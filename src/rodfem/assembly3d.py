@@ -1,29 +1,28 @@
 """One implicit time step of the spatial rod model, and the rows of the
 step system that the spatial and the planar model share.
 
-The spatial step solves simultaneously for position, bending moment,
-twist density, and line tension: 8 unknowns per vertex, 5 in the plane.
-All geometric coefficients (tangents, length elements, quadrature weights,
+The spatial step solves simultaneously for position, bending moment, twist
+density, and line tension: 8 unknowns per vertex, 5 in the plane.  All
+geometric coefficients (tangents, length elements, quadrature weights,
 tangent projectors, drag matrices) are frozen at the previous step, which
 makes the system linear.  They live in the previous state's
-`geometry.FrozenGeometry`, computed once per state by `frozen_geometry`; the
-assembly and the decode read them from there, and the drag model builds
+`geometry.FrozenGeometry`, computed once per state by `frozen_geometry`;
+the assembly and the decode read them from there, and the drag model builds
 its matrices from it.  The curvature, the twist moment and the tangential
 spin rate are not unknowns of the solve: with the lumped weights the
-curvature identity is diagonal in the curvature, the twist law in the
-twist moment and the angular-momentum balance in the spin, so each is
-substituted into the other rows and recovered from the solution
-afterwards.  Unknowns are
-interleaved along the rod so the matrix is banded with a
+curvature identity is diagonal in the curvature, the twist law in the twist
+moment and the angular-momentum balance in the spin, so each is substituted
+into the other rows and recovered from the solution afterwards.  Unknowns
+are interleaved along the rod so the matrix is banded with a
 resolution-independent bandwidth; each row is put in the slot of the
 unknown it pivots on, which keeps the band that `DofLayout` declares 10
-wide on either side in space and 6 in the plane; the first assembly
-through a layout only records where each put lands.  The momentum balance,
-the bending law with the curvature substituted, and inextensibility are put
+wide on either side in space and 6 in the plane; the first assembly through
+a layout only records where each put lands.  The momentum balance, the
+bending law with the curvature substituted, and inextensibility are put
 once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
-those rows alone, and the spatial step adds the twist to them.  Both
-models number their unknowns with one `DofLayout` and hold their per-run
-constants in one `StepContext`, each parameterised by the dimension.
+those rows alone, and the spatial step adds the twist to them.  Both models
+number their unknowns with one `DofLayout` and hold their per-run constants
+in one `StepContext`, each parameterised by the dimension.
 
 Each step maps a rod state to the next one.  A spatial step solves the
 implicit banded system with geometry frozen at the previous state, then
