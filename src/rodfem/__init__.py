@@ -34,12 +34,11 @@ from .errors import (
 from .geometry import (
     Mesh,
     uniform_mesh,
-    element_tangents,
+    FrozenGeometry,
+    frozen_geometry,
     averaged_tangent,
-    lumped_weights,
     vertex_curvature,
     element_twist,
-    total_length,
     perp,
 )
 from .materials import (
@@ -95,12 +94,11 @@ __all__ = [
     # discretization
     "Mesh",
     "uniform_mesh",
-    "element_tangents",
+    "FrozenGeometry",
+    "frozen_geometry",
     "averaged_tangent",
-    "lumped_weights",
     "vertex_curvature",
     "element_twist",
-    "total_length",
     "perp",
     # physics inputs
     "MaterialParams",

@@ -404,7 +404,7 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     tau, ttau, w, hs, dx = geom.tau, geom.ttau, geom.w, geom.hs, geom.dx
     eye = ctx.eye
 
-    K = ctx.scenario.drag._frozen_matrices(geom)                # (ne,d,d)
+    K = ctx.scenario.drag.element_matrices(geom)                # (ne,d,d)
 
     xo, yo, po = layout.x_off, layout.y_off, layout.p_off
     fo, lo = layout.mom_off, layout.law_off       # momentum, bending law

@@ -407,9 +407,11 @@ def cmd_converge(args) -> int:
 
     sim, levels, out_dir, rows = _refinement_study(
         args, "converge.csv", level_row)
-    rates = eoc([r["max_f1"] for r in rows], [r["dt"] for r in rows])
+    # two levels whose errors are both 0 (or one is) have no rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = eoc([r["max_f1"] for r in rows], [r["dt"] for r in rows])
     for r, rate in zip(rows[1:], rates):
-        r["eoc"] = float(rate)
+        r["eoc"] = float(rate) if np.isfinite(rate) else None
     header = ["dt", "n_vertices", "max_f1", "eoc", "max_f2",
               "max_f2_increment"]
     write_table(out_dir / "converge.csv", header,

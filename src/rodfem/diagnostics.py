@@ -4,9 +4,10 @@ Every CSV table rodfem writes goes through `write_table`, the one place
 that knows the CSV dialect and the cell format.  The other writers only
 say which columns a table has.
 
-All functionals are evaluated on the *current* state: quadrature weights use
-the current length elements and the preferred-field comparison uses the
-current directors, not the frozen coefficients the step was built with.
+All functionals are evaluated on the *current* state: each takes the
+state's own `geometry.FrozenGeometry`, so quadrature weights use the current
+length elements, and the preferred-field comparison uses the current
+directors, not the coefficients the step into the state was built with.
 """
 
 import csv
@@ -29,31 +30,33 @@ class DiagnosticsRecord:
     s_max: float
 
 
-def elastic_energy(w, bend_stiffness, kappa, kappa_pref,
-                   hs=None, twist_stiffness=None, twist=None, twist_pref=None):
+def elastic_energy(geom, bend_stiffness, kappa, kappa_pref,
+                   twist_stiffness=None, twist=None, twist_pref=None):
     """Deviation energy from the preferred curvature (and twist, if given).
 
-    The bending term uses vertex quadrature with the stiffness sampled at
-    vertices; the twist term is exact per element with midpoint samples.
-    kappa_pref is the preferred curvature vector already expanded in the
-    current directors.
+    geom is the `geometry.FrozenGeometry` of the state.  The bending term
+    uses its vertex quadrature with the stiffness sampled at vertices; the
+    twist term is exact per element with midpoint samples.  kappa_pref is
+    the preferred curvature vector already expanded in the current
+    directors.
     """
     dev = kappa - kappa_pref
-    total = float(np.sum(w * bend_stiffness * np.sum(dev * dev, axis=1)))
+    total = float(np.sum(geom.w * bend_stiffness * np.sum(dev * dev, axis=1)))
     if twist is not None:
         d = twist - twist_pref
-        total += float(np.sum(hs * twist_stiffness * d * d))
+        total += float(np.sum(geom.hs * twist_stiffness * d * d))
     return total
 
 
-def length_error(hs, length: float) -> float:
-    """F1: deviation of the total arc length from the target."""
-    return abs(float(np.sum(hs)) - length)
+def length_error(geom, length: float) -> float:
+    """F1: deviation of the total arc length of geom from the target."""
+    return abs(float(geom.hs.sum()) - length)
 
 
-def center_of_mass(mesh, x, s) -> np.ndarray:
-    """Arc-length-weighted average of element midpoints."""
-    hs = mesh.h * s
+def center_of_mass(geom, x) -> np.ndarray:
+    """Arc-length-weighted average of the element midpoints of positions x,
+    whose geometry is geom."""
+    hs = geom.hs
     mid = 0.5 * (x[:-1] + x[1:])
     return (hs[:, None] * mid).sum(axis=0) / hs.sum()
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly3d import RodState3D, StepContext, solve_step
-from .diagnostics import DiagnosticsRecord, center_of_mass, elastic_energy
+from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
+                          length_error)
 from .errors import InvalidParameterError
 from .frame import frame_error
-from .geometry import (Mesh, element_tangents, element_twist, frozen_geometry,
-                       perp, uniform_mesh, vertex_curvature)
+from .geometry import (Mesh, element_twist, frozen_geometry, perp,
+                       uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
 from .scenarios import Scenario
 from .solver2d import RodState2D, initial_state_2d, solve_step_2d
@@ -35,6 +36,11 @@ class SimConfig:
     snapshot_stride: int = 0       # 0 = first and last step only
 
     def __post_init__(self):
+        for name in ("n_vertices", "snapshot_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(
+                    f"{name} must be an integer, got {value!r}")
         if self.n_vertices < 3:
             raise InvalidParameterError(
                 f"n_vertices must be at least 3, got {self.n_vertices}"
@@ -109,22 +115,26 @@ def initial_state(mesh: Mesh, scenario: Scenario, data: InitialData = None) -> R
         data = straight_rod(mesh, length=scenario.length)
     x, e1, e2 = data.x, data.e1, data.e2
     n, ne = mesh.n_vertices, mesh.n_elements
-    _, s = element_tangents(mesh, x)
+    geom = frozen_geometry(mesh, x)
     # Initial curvature carries zero boundary values; prescribed boundary
     # data only enters from the first solve onwards.
-    kappa = vertex_curvature(mesh, x)
     return RodState3D(
-        t=0.0, x=x.copy(), e1=e1.copy(), e2=e2.copy(), kappa=kappa,
-        twist=element_twist(mesh, x, e1, e2),
+        t=0.0, x=x.copy(), e1=e1.copy(), e2=e2.copy(),
+        kappa=vertex_curvature(geom), twist=element_twist(geom, e1, e2),
         bend_moment=np.zeros((n, 3)), spin=np.zeros(n),
         twist_moment=np.zeros(ne), tension=np.zeros(ne),
-        rest_density=s.copy(),
+        rest_density=geom.s.copy(),
     )
 
 
 def _check_model(config, mesh, state, initial):
-    """Reject a resume state or initial data made for another model or
-    mesh, and initial data with a non-finite entry."""
+    """Reject a resume state together with initial data, a resume state or
+    initial data made for another model or mesh, and initial data with a
+    non-finite entry."""
+    if state is not None and initial is not None:
+        raise InvalidParameterError(
+            "give a resume state or initial data, not both: a resumed run "
+            "continues from its state")
     want = (mesh.n_vertices, config.dimension)
     if state is not None and state.x.shape != want:
         raise InvalidParameterError(
@@ -207,8 +217,8 @@ def _spatial_model(config, mesh, initial):
         alpha, beta, gamma0 = ctx.drive(st.t)
         kpref = alpha[:, None] * st.e1 + beta[:, None] * st.e2
         energy = elastic_energy(
-            gm.w, ctx.bend_stiffness, st.kappa, kpref,
-            gm.hs, ctx.twist_stiffness, st.twist, gamma0,
+            gm, ctx.bend_stiffness, st.kappa, kpref,
+            ctx.twist_stiffness, st.twist, gamma0,
         )
         return energy, frame_error(gm, st.e1, st.e2)
 
@@ -227,7 +237,7 @@ def _planar_model(config, mesh):
 
     def measure(st, gm):
         alpha = ctx.drive(st.t)[0]
-        energy = elastic_energy(gm.w, ctx.bend_stiffness, st.kappa,
+        energy = elastic_energy(gm, ctx.bend_stiffness, st.kappa,
                                 alpha[:, None] * perp(gm.ttau))
         return energy, 0.0
 
@@ -257,7 +267,8 @@ def run(config: SimConfig, state=None,
     fresh run starts with the scenario's spin-up phase (driving fields
     clamped at their t = 0 values, clock reset afterwards); a resumed run
     continues the main phase from the state's own time.  Raises
-    InvalidParameterError for a state or initial data of another shape.
+    InvalidParameterError for a state given with initial data, and for a
+    state or initial data of another shape.
     """
     mesh = uniform_mesh(config.n_vertices)
     if config.dimension == 2:
@@ -286,14 +297,13 @@ def run(config: SimConfig, state=None,
     def record(st, gm, step_index):
         nonlocal prev_f2
         energy, f2 = measure(st, gm)
-        total = float(gm.hs.sum())
-        f1 = abs(total - config.scenario.length)  # length_error(gm.hs, ...)
+        f1 = length_error(gm, config.scenario.length)
         inc = 0.0 if prev_f2 is None else f2 - prev_f2
         prev_f2 = f2
         records.append(DiagnosticsRecord(
             step=step_index, t=st.t, energy=energy, f1=f1, f2=f2,
-            f2_increment=inc, total_length=total,
-            com=center_of_mass(mesh, st.x, gm.s),
+            f2_increment=inc, total_length=float(gm.hs.sum()),
+            com=center_of_mass(gm, st.x),
             s_min=float(gm.s.min()), s_max=float(gm.s.max()),
         ))
         stats.max_f1 = max(stats.max_f1, f1)

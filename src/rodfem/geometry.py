@@ -5,6 +5,11 @@ elements (piecewise constant).  Vertices are u_0 < ... < u_{N-1} with
 u_0 = 0, u_{N-1} = 1; element e spans (u_e, u_{e+1}).  All routines are
 dimension-agnostic where the formula permits: positions may be (N, 2) or
 (N, 3) arrays.
+
+`frozen_geometry` is the one function that turns positions into tangents,
+length elements, vertex tangents, quadrature weights and tangent projectors.
+Every function of one state's geometry, here and in `diagnostics`,
+`frame` and `materials`, takes its `FrozenGeometry`.
 """
 
 import functools
@@ -64,30 +69,9 @@ def uniform_mesh(n_vertices: int) -> Mesh:
     return Mesh(np.linspace(0.0, 1.0, n_vertices))
 
 
-def element_tangents(mesh: Mesh, x: np.ndarray):
-    """Unit tangent and length element per element.
-
-    Returns (tau, s) with tau of shape (n_elements, dim) and s the per-element
-    norm of the parameter derivative of x, so that h_e * s_e is the element's
-    arc length.  Raises DegenerateGeometryError if an element has zero length.
-    """
-    return _tangents(mesh, np.diff(x, axis=0))
-
-
 def _row_norms(v):
     # the core of np.linalg.norm(v, axis=1), without its dispatch
     return np.sqrt(np.add.reduce(v * v, axis=1))
-
-
-def _tangents(mesh, dx):
-    """(tau, s) of the element differences dx; see `element_tangents`."""
-    chord = _row_norms(dx)
-    if not (chord > 0.0).all():
-        bad = int(np.argmin(chord))
-        raise DegenerateGeometryError(
-            f"element {bad} has zero length (coincident vertices)"
-        )
-    return dx / chord[:, None], chord / mesh.h
 
 
 def averaged_tangent(tau: np.ndarray) -> np.ndarray:
@@ -113,24 +97,6 @@ def averaged_tangent(tau: np.ndarray) -> np.ndarray:
     return ttau
 
 
-def lumped_weights(mesh: Mesh, s: np.ndarray) -> np.ndarray:
-    """Vertex quadrature weights w_i = (1/2) * sum of adjacent h_e s_e.
-
-    These are the weights of the vertex (trapezoidal) quadrature used for all
-    products of vertex fields; they sum to the total arc length.
-    """
-    return _weights(mesh.h * s)
-
-
-def _weights(hs):
-    """`lumped_weights` of the element lengths hs."""
-    half = 0.5 * hs
-    w = np.zeros(hs.size + 1)
-    w[:-1] += half
-    w[1:] += half
-    return w
-
-
 @functools.cache
 def identity(dim: int) -> np.ndarray:
     """The read-only (dim, dim) identity, made once per dimension."""
@@ -141,14 +107,14 @@ def identity(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrozenGeometry:
-    """Geometry of one rod state, which the step from it freezes as its
-    coefficients.
+    """Discrete geometry of one rod state, computed once per state by
+    `frozen_geometry`.
 
-    `frozen_geometry` is the one place these are computed, once per new
-    state; the step's assembly, its decode, the invariant probe and the
-    diagnostics record read them from here.  outer and proj are the
-    tangent projectors tau tau^T and I - tau tau^T of each element, which
-    the bending force and the resistive-force drag share.
+    The step from the state freezes it as its coefficients; the invariant
+    probe, the diagnostics record and every per-state function read it
+    too.  outer and proj are the tangent projectors tau tau^T and
+    I - tau tau^T of each element, which the bending force and the
+    resistive-force drag share.
     """
 
     tau: np.ndarray    # unit element tangents (ne, dim)
@@ -162,17 +128,34 @@ class FrozenGeometry:
 
 
 def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
-    """The `FrozenGeometry` of positions x; raises DegenerateGeometryError
-    as `element_tangents` and `averaged_tangent` do."""
+    """The `FrozenGeometry` of positions x, shape (n, dim), on mesh.
+
+    The weights w_i = (1/2) * sum of the adjacent h * s are the vertex
+    (trapezoidal) quadrature used for all products of vertex fields; they
+    sum to the total arc length.  Raises DegenerateGeometryError when an
+    element has zero length or two adjacent tangents are antiparallel.
+    """
+    x = np.asarray(x, dtype=float)
     dx = x[1:] - x[:-1]
-    tau, s = _tangents(mesh, dx)
+    chord = _row_norms(dx)
+    if not (chord > 0.0).all():
+        bad = int(np.argmin(chord))
+        raise DegenerateGeometryError(
+            f"element {bad} has zero length (coincident vertices)"
+        )
+    tau = dx / chord[:, None]
+    s = chord / mesh.h
     hs = mesh.h * s
+    half = 0.5 * hs
+    w = np.zeros(hs.size + 1)
+    w[:-1] += half
+    w[1:] += half
     outer = tau[:, :, None] * tau[:, None, :]
-    return FrozenGeometry(tau, s, averaged_tangent(tau), _weights(hs), hs,
-                          dx, outer, identity(tau.shape[1]) - outer)
+    return FrozenGeometry(tau, s, averaged_tangent(tau), w, hs, dx, outer,
+                          identity(tau.shape[1]) - outer)
 
 
-def vertex_curvature(mesh: Mesh, x: np.ndarray) -> np.ndarray:
+def vertex_curvature(geom: FrozenGeometry) -> np.ndarray:
     """Discrete curvature vector at interior vertices.
 
     kappa_i = (tau_i^+ - tau_i^-) / ((1/2)(h_- s_- + h_+ s_+)), the exact
@@ -180,24 +163,22 @@ def vertex_curvature(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     second parameter derivative of x.  Boundary rows are zero; callers supply
     prescribed end values themselves.
     """
-    tau, s = element_tangents(mesh, x)
-    w = lumped_weights(mesh, s)
-    kappa = np.zeros_like(np.asarray(x, dtype=float))
-    kappa[1:-1] = (tau[1:] - tau[:-1]) / w[1:-1, None]
+    tau = geom.tau
+    kappa = np.zeros(geom.ttau.shape)
+    kappa[1:-1] = (tau[1:] - tau[:-1]) / geom.w[1:-1, None]
     return kappa
 
 
-def element_twist(mesh: Mesh, x: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+def element_twist(geom: FrozenGeometry, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Twist density per element from the director pair (e1, e2).
 
     Exact integral of (e1_u . e2) over the element divided by the element arc
     length; with affine directors this is the midpoint value, i.e. the
     difference of e1 against the endpoint average of e2.
     """
-    _, s = element_tangents(mesh, x)
     de1 = np.diff(e1, axis=0)
     e2_mid = 0.5 * (e2[:-1] + e2[1:])
-    return np.einsum("ed,ed->e", de1, e2_mid) / (mesh.h * s)
+    return np.einsum("ed,ed->e", de1, e2_mid) / geom.hs
 
 
 def perp(v: np.ndarray) -> np.ndarray:
@@ -220,7 +201,3 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return out
 
-
-def total_length(mesh: Mesh, x: np.ndarray) -> float:
-    """Arc length of the polyline."""
-    return float(np.linalg.norm(np.diff(x, axis=0), axis=1).sum())

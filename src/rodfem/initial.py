@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import Mesh, averaged_tangent, element_tangents
+from .geometry import Mesh, frozen_geometry
 
 
 @dataclass
@@ -62,8 +62,7 @@ def circle_arc(mesh: Mesh, radius: float, angle: float) -> InitialData:
         )
     th = angle * mesh.u
     x = radius * np.column_stack([np.sin(th), 1.0 - np.cos(th), np.zeros_like(th)])
-    tau, _ = element_tangents(mesh, x)
-    ttau = averaged_tangent(tau)
+    ttau = frozen_geometry(mesh, x).ttau
     seed = np.column_stack([-np.sin(th), np.cos(th), np.zeros_like(th)])
     e1 = seed - np.einsum("id,id->i", seed, ttau)[:, None] * ttau
     e1 /= np.linalg.norm(e1, axis=1)[:, None]

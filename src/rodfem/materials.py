@@ -3,6 +3,9 @@
 Stiffness/viscosity profiles are functions of the parameter u; scalars are
 promoted.  Elastic moduli must be strictly positive where sampled, viscous
 ones nonnegative (the scheme's stability argument needs exactly that).
+
+A drag model turns the `geometry.FrozenGeometry` of a state into one drag
+matrix per element, `element_matrices(geom)`.
 """
 
 from dataclasses import dataclass, field
@@ -99,16 +102,11 @@ class IsotropicDrag:
             raise InvalidParameterError("drag matrix must be positive definite")
         self.matrix = m
 
-    def element_matrices(self, tau: np.ndarray) -> np.ndarray:
-        """Per-element drag matrix; dimension follows the tangents."""
-        dim = tau.shape[1]
-        return np.broadcast_to(
-            self.matrix[:dim, :dim], (tau.shape[0], dim, dim)
-        ).copy()
-
-    def _frozen_matrices(self, geom) -> np.ndarray:
-        """`element_matrices` of a step's `FrozenGeometry`."""
-        return self.element_matrices(geom.tau)
+    def element_matrices(self, geom) -> np.ndarray:
+        """Per-element drag matrix of a `geometry.FrozenGeometry`; the
+        dimension follows its tangents."""
+        ne, dim = geom.tau.shape
+        return np.broadcast_to(self.matrix[:dim, :dim], (ne, dim, dim)).copy()
 
 
 @dataclass
@@ -127,19 +125,11 @@ class ResistiveForceDrag:
                 f"transverse drag factor must be > 0, got {self.k}"
             )
 
-    def element_matrices(self, tau: np.ndarray) -> np.ndarray:
-        """Per-element K(tau); raises InvalidParameterError unless every
+    def element_matrices(self, geom) -> np.ndarray:
+        """Per-element K(tau), built from the tangent projectors of a
+        `geometry.FrozenGeometry`; raises InvalidParameterError unless every
         tangent is a unit vector to within 1e-12."""
-        tau = np.asarray(tau, dtype=float)
-        outer = tau[:, :, None] * tau[:, None, :]
-        return self._matrices(outer, np.eye(tau.shape[1]) - outer)
-
-    def _frozen_matrices(self, geom) -> np.ndarray:
-        """`element_matrices` of a step's `FrozenGeometry`, built from the
-        tangent projectors it carries."""
-        return self._matrices(geom.outer, geom.proj)
-
-    def _matrices(self, outer, proj):
+        outer = geom.outer
         # the diagonal of tau tau^T sums to |tau|^2 in the order norm() takes
         norms = np.sqrt(outer.trace(axis1=1, axis2=2))
         err = np.abs(norms - 1.0)
@@ -149,4 +139,4 @@ class ResistiveForceDrag:
                 f"tangents must be unit vectors (element {bad}: "
                 f"|tau| = {float(norms[bad])!r})"
             )
-        return outer + self.k * proj
+        return outer + self.k * geom.proj

@@ -21,8 +21,7 @@ import numpy as np
 
 from .assembly3d import (RodState3D, _decode_rod, _rod_rows,
                          _solve_increment, _Triplets)
-from .geometry import (Mesh, element_tangents, frozen_geometry, perp,
-                       vertex_curvature)
+from .geometry import Mesh, frozen_geometry, perp, vertex_curvature
 
 
 @dataclass
@@ -45,11 +44,11 @@ def initial_state_2d(mesh: Mesh, scenario) -> RodState2D:
     n = mesh.n_vertices
     x = np.zeros((n, 2))
     x[:, 0] = scenario.length * mesh.u
-    tau, s = element_tangents(mesh, x)
-    kappa = vertex_curvature(mesh, x)
+    geom = frozen_geometry(mesh, x)
     return RodState2D(
-        t=0.0, x=x, kappa=kappa, bend_moment=np.zeros((n, 2)),
-        tension=np.zeros(n - 1), rest_density=s.copy(),
+        t=0.0, x=x, kappa=vertex_curvature(geom),
+        bend_moment=np.zeros((n, 2)), tension=np.zeros(n - 1),
+        rest_density=geom.s.copy(),
     )
 
 

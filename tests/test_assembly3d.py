@@ -24,13 +24,7 @@ from rodfem.assembly3d import (
     solve_step,
 )
 from rodfem.errors import AssemblyError, InvalidParameterError
-from rodfem.geometry import (
-    averaged_tangent,
-    element_tangents,
-    element_twist,
-    uniform_mesh,
-    vertex_curvature,
-)
+from rodfem.geometry import element_twist, uniform_mesh, vertex_curvature
 from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, MaterialParams, ResistiveForceDrag
 from rodfem.scenarios import (Scenario, builtin_scenario, compile_expr,
@@ -55,8 +49,8 @@ def bent_test_state(n, seed=0, scale=0.15):
         scale * np.sin(2.0 * np.pi * mesh.u),
         scale * np.cos(3.0 * np.pi * mesh.u) - scale,
     ])
-    tau, s = element_tangents(mesh, x)
-    ttau = averaged_tangent(tau)
+    geom = frozen_geometry(mesh, x)
+    ttau = geom.ttau
     probe = np.tile([0.0, 0.0, 1.0], (n, 1))
     e1 = probe - np.einsum("id,id->i", probe, ttau)[:, None] * ttau
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
@@ -65,12 +59,12 @@ def bent_test_state(n, seed=0, scale=0.15):
         "x": x,
         "e1": e1,
         "e2": e2,
-        "kappa": vertex_curvature(mesh, x)
+        "kappa": vertex_curvature(geom)
         + 0.05 * rng.normal(size=(n, 3)),
-        "gamma": element_twist(mesh, x, e1, e2) + 0.1 * rng.normal(size=n - 1),
+        "gamma": element_twist(geom, e1, e2) + 0.1 * rng.normal(size=n - 1),
         "y": 0.2 * rng.normal(size=(n, 3)),
         "m": 0.3 * rng.normal(size=n),
-        "s0": s * (1.0 + 0.05 * rng.uniform(size=n - 1)),
+        "s0": geom.s * (1.0 + 0.05 * rng.uniform(size=n - 1)),
     }
     state["y"][0] = state["y"][-1] = 0.0  # end moments vanish
     return mesh, state
@@ -214,7 +208,6 @@ def test_random_step_matches_dense_reference(n, dt, log_drag, twist_stiffness,
 def test_straight_rest_state_is_stationary():
     mesh = uniform_mesh(9)
     data = straight_rod(mesh)
-    _, s = element_tangents(mesh, data.x)
     scn = rest_scenario()
     ctx = StepContext(mesh, scn, 3)
     geom = frozen_geometry(mesh, data.x)
@@ -222,7 +215,7 @@ def test_straight_rest_state_is_stationary():
     res, _, _ = solve_step(ctx, geom, 0.1, 0.1, as_state({
         "x": data.x, "e1": data.e1, "e2": data.e2, "kappa": np.zeros((n, 3)),
         "gamma": np.zeros(n - 1), "y": np.zeros((n, 3)), "m": np.zeros(n),
-        "s0": s,
+        "s0": geom.s,
     }))
     np.testing.assert_allclose(res.x, data.x, atol=1e-12)
     for field in (res.bend_moment, res.kappa, res.spin, res.twist_moment,
@@ -264,12 +257,12 @@ def step_case(model, n=8, seed=4, scale=0.15, owner=None):
         mesh.u,
         scale * np.sin(2.0 * np.pi * mesh.u) + scale * mesh.u * (1.0 - mesh.u),
     ])
-    _, s = element_tangents(mesh, x)
-    kappa = vertex_curvature(mesh, x) + 0.05 * rng.normal(size=(n, 2))
+    geom = frozen_geometry(mesh, x)
+    kappa = vertex_curvature(geom) + 0.05 * rng.normal(size=(n, 2))
     ctx = owner or StepContext(mesh, builtin_scenario("worm2d"), 2)
     st = RodState2D(0.0, x, kappa, np.zeros((n, 2)), np.zeros(n - 1),
-                    s * (1.0 + 0.05 * rng.uniform(size=n - 1)))
-    return ctx, frozen_geometry(mesh, x), (dt, t_new, st)
+                    geom.s * (1.0 + 0.05 * rng.uniform(size=n - 1)))
+    return ctx, geom, (dt, t_new, st)
 
 
 def assembled_step(model, n=8, seed=4, scale=0.15, owner=None):

@@ -209,6 +209,23 @@ def test_converge_single_level_has_empty_rate_column(tmp_path):
     assert len(rows) == 2 and rows[1][3] == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_converge_leaves_an_undefined_rate_empty(tmp_path, capsys):
+    # an undriven straight rod keeps its length exactly at every level, so
+    # no two levels have a rate: 0 / 0 errors give none, not nan
+    cfg = write_cfg(tmp_path, "scenario.name = custom\nscenario.alpha0 = 0\n"
+                              "run.t_final = 1\n")
+    out = tmp_path / "conv0"
+    assert main(["converge", "--config", cfg, "--out", str(out),
+                 "--levels", "0..2"]) == 0
+    with open(out / "converge.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[2] for r in rows[1:]] == ["0", "0", "0"]
+    assert [r[3] for r in rows[1:]] == ["", "", ""]
+    printed = capsys.readouterr()
+    assert "nan" not in printed.out and printed.err == ""
+
+
 def test_compare_table_columns_and_agreement(tmp_path):
     cfg = write_cfg(tmp_path, "scenario.name = worm2d\nrun.t_final = 5\n")
     out = tmp_path / "cmp"

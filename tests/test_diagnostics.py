@@ -1,6 +1,7 @@
 """Scalar functionals, convergence rates, and the CSV exporters."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,8 +22,16 @@ from rodfem.diagnostics import (
     write_snapshot,
     write_table,
 )
-from rodfem.geometry import Mesh, element_tangents, uniform_mesh
+from rodfem.geometry import (FrozenGeometry, Mesh, frozen_geometry,
+                             uniform_mesh)
 from rodfem.solver2d import RodState2D, embed_in_space
+
+
+def weighted(w=None, hs=None):
+    """A FrozenGeometry holding only the vertex weights w and the element
+    lengths hs, the fields the energy and F1 read."""
+    blank = dict.fromkeys(f.name for f in dataclasses.fields(FrozenGeometry))
+    return FrozenGeometry(**{**blank, "w": w, "hs": hs})
 
 
 def test_eoc_of_a_measured_error_pair():
@@ -49,13 +58,13 @@ def test_elastic_energy_hand_case():
     kappa = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     pref = np.zeros((3, 3))
     # bending part: w * A * |dev|^2 summed = 1.0 * 2.0 * 2
-    assert elastic_energy(w, A, kappa, pref) == pytest.approx(4.0)
+    assert elastic_energy(weighted(w), A, kappa, pref) == pytest.approx(4.0)
     # adding a twist deviation of 0.5 on one element of measure 0.25
     hs = np.array([0.25, 0.25])
     C = np.array([3.0, 3.0])
     tw = np.array([0.5, 0.0])
     tw0 = np.zeros(2)
-    got = elastic_energy(w, A, kappa, pref, hs, C, tw, tw0)
+    got = elastic_energy(weighted(w, hs), A, kappa, pref, C, tw, tw0)
     assert got == pytest.approx(4.0 + 0.25 * 3.0 * 0.25)
 
 
@@ -66,26 +75,25 @@ def test_energy_is_never_negative():
         A = rng.uniform(0.5, 2.0, 6)
         kappa = rng.normal(size=(6, 3))
         pref = rng.normal(size=(6, 3))
-        assert elastic_energy(w, A, kappa, pref) >= 0.0
+        assert elastic_energy(weighted(w), A, kappa, pref) >= 0.0
 
 
 def test_length_error_is_absolute_deviation():
     hs = np.array([0.5, 0.52])
-    assert length_error(hs, 1.0) == pytest.approx(0.02)
-    assert length_error(hs, 1.04) == pytest.approx(0.02)
+    assert length_error(weighted(hs=hs), 1.0) == pytest.approx(0.02)
+    assert length_error(weighted(hs=hs), 1.04) == pytest.approx(0.02)
 
 
 def test_center_of_mass_straight_and_corner():
     mesh = uniform_mesh(9)
     x = np.column_stack([mesh.u, np.zeros(9), np.zeros(9)])
-    _, s = element_tangents(mesh, x)
-    np.testing.assert_allclose(center_of_mass(mesh, x, s), [0.5, 0.0, 0.0],
-                               atol=1e-15)
+    np.testing.assert_allclose(center_of_mass(frozen_geometry(mesh, x), x),
+                               [0.5, 0.0, 0.0], atol=1e-15)
     # right-angle corner, equal arms: midpoints average to (0.75, 0.25)
     mesh2 = Mesh(np.array([0.0, 0.5, 1.0]))
     x2 = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    _, s2 = element_tangents(mesh2, x2)
-    np.testing.assert_allclose(center_of_mass(mesh2, x2, s2), [0.75, 0.25])
+    np.testing.assert_allclose(center_of_mass(frozen_geometry(mesh2, x2), x2),
+                               [0.75, 0.25])
 
 
 @given(shift=arrays(np.float64, (3,), elements=st.floats(-5.0, 5.0)))
@@ -94,9 +102,9 @@ def test_center_of_mass_translation_equivariance(shift):
     mesh = uniform_mesh(7)
     x = np.column_stack([
         mesh.u, 0.2 * np.sin(6 * mesh.u), 0.1 * np.cos(4 * mesh.u)])
-    _, s = element_tangents(mesh, x)
-    base = center_of_mass(mesh, x, s)
-    moved = center_of_mass(mesh, x + shift, s)
+    geom = frozen_geometry(mesh, x)
+    base = center_of_mass(geom, x)
+    moved = center_of_mass(geom, x + shift)
     np.testing.assert_allclose(moved, base + shift, atol=1e-12)
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import rodfem
+from rodfem.diagnostics import center_of_mass, length_error
 from rodfem.engine3d import SimConfig, initial_state, run, step_count
 from rodfem.errors import InvalidParameterError
-from rodfem.geometry import uniform_mesh
+from rodfem.geometry import frozen_geometry, uniform_mesh
 from rodfem.initial import InitialData, circle_arc, straight_rod
 from rodfem.materials import ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
@@ -118,6 +119,21 @@ def test_config_validation():
         SimConfig(scn, dimension=4)
     with pytest.raises(InvalidParameterError):
         SimConfig(scn, snapshot_stride=-1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_vertices", 8.0), ("n_vertices", "8"),
+    ("snapshot_stride", 1.5), ("snapshot_stride", 2.0)])
+def test_config_rejects_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{name} must be an integer, got "):
+        SimConfig(builtin_scenario("relaxation"), **{name: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = SimConfig(builtin_scenario("relaxation"), n_vertices=np.int64(8),
+                    dt=1.0, t_final=2.0, snapshot_stride=np.int32(1))
+    assert sorted(run(cfg).snapshots) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("t_final,spin_up,length,dimension,name", [
@@ -236,6 +252,34 @@ def test_run_rejects_the_other_models_state(model):
     other = run(SimConfig(scn, dimension=2 if dim == 3 else 3, **pin))
     with pytest.raises(InvalidParameterError, match="resume state"):
         run(SimConfig(scn, dimension=dim, **pin), state=other.final_state)
+
+
+def test_run_rejects_a_resume_state_together_with_initial_data():
+    # a resumed run continues from its state, so the initial data would be
+    # dropped without a word
+    cfg = SimConfig(builtin_scenario("relaxation"), n_vertices=8, dt=1.0,
+                    t_final=2.0)
+    head = run(dataclasses.replace(cfg, t_final=1.0))
+    with pytest.raises(InvalidParameterError, match="not both"):
+        run(cfg, state=head.final_state,
+            initial=circle_arc(uniform_mesh(8), 5.0, 0.2))
+
+
+@pytest.mark.parametrize("model, preset", [("spatial", "worm3d"),
+                                           ("planar", "worm2d")])
+def test_records_are_the_functionals_of_their_states_geometry(model, preset):
+    # every record reads the one geometry of its state
+    scn = builtin_scenario(preset)
+    mesh = uniform_mesh(8)
+    res = run(SimConfig(scn, n_vertices=8, dt=0.25, t_final=2.0,
+                        dimension=MODELS[model], snapshot_stride=1))
+    assert [r.step for r in res.records] == sorted(res.snapshots)
+    for rec in res.records:
+        x = res.snapshots[rec.step].x
+        geom = frozen_geometry(mesh, x)
+        assert rec.f1 == length_error(geom, scn.length)
+        assert rec.total_length == float(geom.hs.sum())
+        assert rec.com.tobytes() == center_of_mass(geom, x).tobytes()
 
 
 def test_run2d_is_run():

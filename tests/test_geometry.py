@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rodfem.errors import DegenerateGeometryError, InvalidMeshError
-from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.geometry import (
     Mesh,
     averaged_tangent,
     cross,
-    element_tangents,
     element_twist,
     frozen_geometry,
-    lumped_weights,
     perp,
-    total_length,
     uniform_mesh,
     vertex_curvature,
 )
@@ -78,10 +74,10 @@ def test_uniform_mesh_needs_three_vertices():
 def test_straight_rod_tangents():
     mesh = uniform_mesh(6)
     x = np.column_stack([mesh.u, np.zeros(6), np.zeros(6)])
-    tau, s = element_tangents(mesh, x)
-    np.testing.assert_allclose(tau, [[1.0, 0.0, 0.0]] * 5)
-    np.testing.assert_allclose(s, 1.0)
-    assert total_length(mesh, x) == pytest.approx(1.0)
+    geom = frozen_geometry(mesh, x)
+    np.testing.assert_allclose(geom.tau, [[1.0, 0.0, 0.0]] * 5)
+    np.testing.assert_allclose(geom.s, 1.0)
+    assert geom.hs.sum() == pytest.approx(1.0)
 
 
 def test_collapsed_element_is_degenerate():
@@ -89,7 +85,7 @@ def test_collapsed_element_is_degenerate():
     x = np.zeros((4, 3))
     x[:, 0] = [0.0, 0.5, 0.5, 1.0]  # middle element has zero length
     with pytest.raises(DegenerateGeometryError):
-        element_tangents(mesh, x)
+        frozen_geometry(mesh, x)
 
 
 def test_right_angle_corner_curvature():
@@ -97,17 +93,17 @@ def test_right_angle_corner_curvature():
     # s = 2 on both elements, w = 1 at the corner, curvature (-1, 1, 0)
     mesh = Mesh(np.array([0.0, 0.5, 1.0]))
     x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-    tau, s = element_tangents(mesh, x)
-    np.testing.assert_allclose(s, [2.0, 2.0])
-    np.testing.assert_allclose(lumped_weights(mesh, s), [0.5, 1.0, 0.5])
-    kappa = vertex_curvature(mesh, x)
+    geom = frozen_geometry(mesh, x)
+    np.testing.assert_allclose(geom.s, [2.0, 2.0])
+    np.testing.assert_allclose(geom.w, [0.5, 1.0, 0.5])
+    kappa = vertex_curvature(geom)
     np.testing.assert_allclose(kappa[1], [-1.0, 1.0, 0.0], atol=1e-15)
-    assert total_length(mesh, x) == pytest.approx(2.0)
+    assert geom.hs.sum() == pytest.approx(2.0)
 
 
 def test_curvature_boundary_rows_are_zero():
     u, x = wiggly_polyline(10)
-    kappa = vertex_curvature(Mesh(u), x)
+    kappa = vertex_curvature(frozen_geometry(Mesh(u), x))
     assert np.all(kappa[0] == 0.0)
     assert np.all(kappa[-1] == 0.0)
 
@@ -119,7 +115,7 @@ def test_vertices_on_circle_reproduce_curvature_exactly():
     mesh = uniform_mesh(n)
     theta = angle * mesh.u
     x = np.column_stack([R * np.cos(theta), R * np.sin(theta), np.zeros(n)])
-    kappa = vertex_curvature(mesh, x)
+    kappa = vertex_curvature(frozen_geometry(mesh, x))
     mags = np.linalg.norm(kappa[1:-1], axis=1)
     np.testing.assert_allclose(mags, 1.0 / R, rtol=1e-13)
 
@@ -131,30 +127,29 @@ def test_vertices_on_circle_reproduce_curvature_exactly():
 def test_geometry_matches_loop_reference(seed):
     u, x = wiggly_polyline(11, seed=seed)
     mesh = Mesh(u)
-    tau, s = element_tangents(mesh, x)
+    geom = frozen_geometry(mesh, x)
     rtau, rs = ref_tangents(u, x)
-    np.testing.assert_allclose(tau, rtau, atol=1e-14)
-    np.testing.assert_allclose(s, rs, atol=1e-14)
+    np.testing.assert_allclose(geom.tau, rtau, atol=1e-14)
+    np.testing.assert_allclose(geom.s, rs, atol=1e-14)
     np.testing.assert_allclose(
-        averaged_tangent(tau), ref_averaged_tangent(rtau), atol=1e-14)
+        averaged_tangent(geom.tau), ref_averaged_tangent(rtau), atol=1e-14)
+    np.testing.assert_allclose(geom.w, ref_weights(u, geom.s), atol=1e-14)
     np.testing.assert_allclose(
-        lumped_weights(mesh, s), ref_weights(u, s), atol=1e-14)
-    np.testing.assert_allclose(
-        vertex_curvature(mesh, x), ref_curvature_interior(u, x), atol=1e-12)
+        vertex_curvature(geom), ref_curvature_interior(u, x), atol=1e-12)
 
 
 def test_twist_matches_loop_reference():
     u, x = wiggly_polyline(9, seed=3)
     mesh = Mesh(u)
-    tau, _ = element_tangents(mesh, x)
-    ttau = averaged_tangent(tau)
+    geom = frozen_geometry(mesh, x)
+    ttau = geom.ttau
     # any orthonormal completion of the vertex tangents will do
     probe = np.tile([0.0, 0.0, 1.0], (len(u), 1))
     e1 = probe - np.einsum("id,id->i", probe, ttau)[:, None] * ttau
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     e2 = np.cross(ttau, e1)
     np.testing.assert_allclose(
-        element_twist(mesh, x, e1, e2), ref_element_twist(u, x, e1, e2),
+        element_twist(geom, e1, e2), ref_element_twist(u, x, e1, e2),
         atol=1e-13)
 
 
@@ -166,9 +161,9 @@ def test_uniformly_rotating_frame_has_expected_total_twist():
         ang = 2.0 * np.pi * mesh.u
         e1 = np.column_stack([np.zeros(n), np.cos(ang), np.sin(ang)])
         e2 = np.column_stack([np.zeros(n), -np.sin(ang), np.cos(ang)])
-        gamma = element_twist(mesh, x, e1, e2)
-        _, s = element_tangents(mesh, x)
-        total = float(np.sum(mesh.h * s * gamma))
+        geom = frozen_geometry(mesh, x)
+        gamma = element_twist(geom, e1, e2)
+        total = float(np.sum(mesh.h * geom.s * gamma))
         assert total == pytest.approx(2.0 * np.pi, rel=2.0 / n**2 * 40)
     # and the discretization error shrinks under refinement
     assert abs(total - 2.0 * np.pi) < 1e-3
@@ -202,10 +197,9 @@ def test_curvature_is_orthogonal_to_vertex_tangent(offsets):
     # keep the polyline monotone enough to be nondegenerate
     if np.any(np.diff(x[:, 0]) < 0.02):
         return
-    mesh = Mesh(u)
-    tau, _ = element_tangents(mesh, x)
-    ttau = averaged_tangent(tau)
-    kappa = vertex_curvature(mesh, x)
+    geom = frozen_geometry(Mesh(u), x)
+    ttau = geom.ttau
+    kappa = vertex_curvature(geom)
     np.testing.assert_allclose(np.linalg.norm(ttau, axis=1), 1.0, atol=1e-13)
     dots = np.einsum("id,id->i", kappa, ttau)
     scale = 1.0 + np.linalg.norm(kappa, axis=1)
@@ -245,31 +239,24 @@ def rods(draw):
 def test_frozen_geometry_carries_what_its_readers_formed(rod):
     mesh, x = rod
     geom = frozen_geometry(mesh, x)
-    tau, s = element_tangents(mesh, x)
+    dx = np.diff(x, axis=0)
+    chord = np.linalg.norm(dx, axis=1)
+    tau = dx / chord[:, None]
+    s = chord / mesh.h
+    hs = mesh.h * s
+    half = 0.5 * hs
+    mean = tau[:-1] + tau[1:]
+    ttau = np.vstack([tau[:1], mean / np.linalg.norm(mean, axis=1)[:, None],
+                      tau[-1:]])
     outer = tau[:, :, None] * tau[:, None, :]
     assert same_bits(geom.tau, tau)
     assert same_bits(geom.s, s)
-    assert same_bits(geom.ttau, averaged_tangent(tau))
-    assert same_bits(geom.w, lumped_weights(mesh, s))
-    assert same_bits(geom.hs, mesh.h * s)
-    assert same_bits(geom.dx, np.diff(x, axis=0))
+    assert same_bits(geom.ttau, ttau)
+    assert same_bits(geom.w, np.append(half, 0.0) + np.insert(half, 0, 0.0))
+    assert same_bits(geom.hs, hs)
+    assert same_bits(geom.dx, dx)
     assert same_bits(geom.outer, outer)
     assert same_bits(geom.proj, np.eye(x.shape[1]) - outer)
-    # and the tangents are the ones np.linalg.norm normalises
-    chord = np.linalg.norm(np.diff(x, axis=0), axis=1)
-    assert same_bits(tau, np.diff(x, axis=0) / chord[:, None])
-    assert same_bits(s, chord / mesh.h)
-
-
-@given(rods())
-@settings(max_examples=40, deadline=None)
-def test_each_drag_builds_the_same_matrices_from_the_frozen_geometry(rod):
-    mesh, x = rod
-    geom = frozen_geometry(mesh, x)
-    for drag in (IsotropicDrag(np.diag([1.0, 2.0, 3.0])),
-                 ResistiveForceDrag(40.0)):
-        assert same_bits(drag._frozen_matrices(geom),
-                         drag.element_matrices(geom.tau))
 
 
 def test_frozen_geometry_rejects_a_collapsed_element():
@@ -278,3 +265,12 @@ def test_frozen_geometry_rejects_a_collapsed_element():
     x[:, 0] = [0.0, 0.5, 0.5, 1.0]
     with pytest.raises(DegenerateGeometryError, match="element 1"):
         frozen_geometry(mesh, x)
+
+
+def test_curvature_of_a_folded_polyline_is_rejected():
+    # the middle vertex turns the rod back on itself: its two tangents are
+    # antiparallel, so it has no vertex tangent and no curvature
+    mesh = uniform_mesh(3)
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DegenerateGeometryError, match="antiparallel at vertex 1"):
+        vertex_curvature(frozen_geometry(mesh, x))

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 from rodfem.frame import orthonormality_defects
-from rodfem.geometry import (
-    averaged_tangent,
-    element_tangents,
-    total_length,
-    uniform_mesh,
-)
+from rodfem.geometry import frozen_geometry, uniform_mesh
 from rodfem.initial import circle_arc, straight_rod
 
 
 def frame_is_adapted(mesh, data, tol=1e-12):
-    tau, _ = element_tangents(mesh, data.x)
-    ttau = averaged_tangent(tau)
+    ttau = frozen_geometry(mesh, data.x).ttau
     return float(orthonormality_defects(ttau, data.e1, data.e2).max()) < tol
 
 
@@ -24,7 +18,7 @@ def test_straight_rod_geometry():
     data = straight_rod(mesh, length=2.0)
     np.testing.assert_allclose(data.x[:, 0], 2.0 * mesh.u)
     np.testing.assert_allclose(data.x[:, 1:], 0.0)
-    assert total_length(mesh, data.x) == pytest.approx(2.0)
+    assert frozen_geometry(mesh, data.x).hs.sum() == pytest.approx(2.0)
     assert frame_is_adapted(mesh, data)
 
 
@@ -50,7 +44,7 @@ def test_circle_arc_geometry():
     chord = np.linalg.norm(data.x[-1] - data.x[0])
     assert chord == pytest.approx(2.0 * R * np.sin(angle / 2.0), rel=1e-12)
     # inscribed polyline length: slightly under the smooth arc length
-    L = total_length(mesh, data.x)
+    L = frozen_geometry(mesh, data.x).hs.sum()
     assert L < R * angle
     assert L == pytest.approx(R * angle, rel=1e-3)
     assert frame_is_adapted(mesh, data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rodfem.errors import InvalidParameterError
-from rodfem.geometry import frozen_geometry, uniform_mesh
+from rodfem.geometry import FrozenGeometry, frozen_geometry, uniform_mesh
 from rodfem.materials import (
     IsotropicDrag,
     MaterialParams,
@@ -65,29 +65,42 @@ def test_isotropic_drag_validation():
         IsotropicDrag(np.full((3, 3), np.nan))
 
 
+#: a geometry without fields, for `with_tangents` to fill in
+BLANK = FrozenGeometry(*[None] * len(dataclasses.fields(FrozenGeometry)))
+
+
+def with_tangents(tau, geom=BLANK):
+    """geom with its tangents, and their projectors, replaced by tau; the
+    drags read no other field."""
+    tau = np.asarray(tau, dtype=float)
+    outer = tau[:, :, None] * tau[:, None, :]
+    return dataclasses.replace(geom, tau=tau, outer=outer,
+                               proj=np.eye(tau.shape[1]) - outer)
+
+
 def test_isotropic_drag_tiles_and_truncates():
     drag = IsotropicDrag(np.diag([1.0, 2.0, 3.0]))
     tau3 = np.tile([1.0, 0.0, 0.0], (4, 1))
-    mats = drag.element_matrices(tau3)
+    mats = drag.element_matrices(with_tangents(tau3))
     assert mats.shape == (4, 3, 3)
     np.testing.assert_allclose(mats[2], np.diag([1.0, 2.0, 3.0]))
     # planar tangents pick out the upper-left block
     tau2 = np.tile([0.0, 1.0], (3, 1))
-    np.testing.assert_allclose(
-        drag.element_matrices(tau2), np.tile(np.diag([1.0, 2.0]), (3, 1, 1)))
+    np.testing.assert_allclose(drag.element_matrices(with_tangents(tau2)),
+                               np.tile(np.diag([1.0, 2.0]), (3, 1, 1)))
 
 
 def test_resistive_force_drag_axis_aligned():
     drag = ResistiveForceDrag(40.0)
     tau = np.array([[1.0, 0.0, 0.0]])
-    np.testing.assert_allclose(
-        drag.element_matrices(tau)[0], np.diag([1.0, 40.0, 40.0]), atol=1e-14)
+    np.testing.assert_allclose(drag.element_matrices(with_tangents(tau))[0],
+                               np.diag([1.0, 40.0, 40.0]), atol=1e-14)
 
 
 def test_resistive_force_drag_general_direction():
     drag = ResistiveForceDrag(7.0)
     tau = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, -0.8]])
-    mats = drag.element_matrices(tau)
+    mats = drag.element_matrices(with_tangents(tau))
     for t, m in zip(tau, mats):
         outer = np.outer(t, t)
         np.testing.assert_allclose(
@@ -99,7 +112,7 @@ def test_resistive_force_drag_general_direction():
 def test_resistive_force_drag_planar():
     drag = ResistiveForceDrag(3.0)
     tau = np.array([[0.8, 0.6]])
-    m = drag.element_matrices(tau)[0]
+    m = drag.element_matrices(with_tangents(tau))[0]
     outer = np.outer(tau[0], tau[0])
     np.testing.assert_allclose(m, outer + 3.0 * (np.eye(2) - outer))
 
@@ -108,7 +121,8 @@ def test_resistive_force_drag_rejects_bad_input():
     with pytest.raises(InvalidParameterError):
         ResistiveForceDrag(0.0)
     with pytest.raises(InvalidParameterError):
-        ResistiveForceDrag(5.0).element_matrices(np.array([[2.0, 0.0, 0.0]]))
+        ResistiveForceDrag(5.0).element_matrices(
+            with_tangents(np.array([[2.0, 0.0, 0.0]])))
 
 
 def nan_tangent_geometry(dim):
@@ -120,9 +134,7 @@ def nan_tangent_geometry(dim):
     geom = frozen_geometry(mesh, x)
     tau = geom.tau.copy()
     tau[1] = np.nan
-    outer = tau[:, :, None] * tau[:, None, :]
-    return dataclasses.replace(geom, tau=tau, outer=outer,
-                               proj=np.eye(dim) - outer)
+    return with_tangents(tau, geom)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -132,6 +144,6 @@ def test_resistive_force_drag_rejects_a_nan_tangent(dim):
     tau = np.zeros((1, dim))
     tau[0, 0] = np.nan
     with pytest.raises(InvalidParameterError, match=r"element 0: \|tau\| = nan"):
-        drag.element_matrices(tau)
+        drag.element_matrices(with_tangents(tau))
     with pytest.raises(InvalidParameterError, match=r"element 1: \|tau\| = nan"):
-        drag._frozen_matrices(nan_tangent_geometry(dim))
+        drag.element_matrices(nan_tangent_geometry(dim))
