@@ -36,7 +36,6 @@ from .geometry import (
     uniform_mesh,
     FrozenGeometry,
     frozen_geometry,
-    averaged_tangent,
     vertex_curvature,
     element_twist,
     perp,
@@ -96,7 +95,6 @@ __all__ = [
     "uniform_mesh",
     "FrozenGeometry",
     "frozen_geometry",
-    "averaged_tangent",
     "vertex_curvature",
     "element_twist",
     "perp",

@@ -67,7 +67,6 @@ _KNOWN_KEYS = {
     "scenario.gamma0": "expr",
     "scenario.spin_up": "float",
     "scenario.length": "float",
-    "material.epsilon": "float",
     "material.bend_stiffness": "profile",
     "material.bend_viscosity": "profile",
     "material.twist_stiffness": "profile",
@@ -163,11 +162,7 @@ def build_scenario(cfg) -> Scenario:
         raise ConfigError("scenario.name is required")
 
     if name in _PRESET_NAMES:
-        try:
-            scn = builtin_scenario(name,
-                                   eps=_get(cfg, "material.epsilon", 0.05))
-        except InvalidParameterError as exc:
-            raise ConfigError(f"material.epsilon: {exc}") from None
+        scn = builtin_scenario(name)
     elif name == "custom":
         if "scenario.alpha0" not in cfg:
             raise ConfigError(
@@ -182,15 +177,6 @@ def build_scenario(cfg) -> Scenario:
             f"(expected one of {', '.join(_PRESET_NAMES)}, or custom)"
         )
 
-    replaced = {"material.bend_stiffness", "material.twist_stiffness"}
-    if "material.epsilon" in cfg and (name not in ("worm2d", "worm3d")
-                                      or replaced <= cfg.keys()):
-        raise ConfigError(
-            f"material.epsilon: scenario {name} samples no tapered stiffness "
-            f"profile (worm2d and worm3d do, unless both stiffness profiles "
-            f"are given)"
-        )
-
     # the fields of a custom scenario, and overrides of a preset's, so
     # small variations of the bundled studies need no custom scenario
     for key, attr in (("scenario.alpha0", "kappa1_pref"),
@@ -202,9 +188,9 @@ def build_scenario(cfg) -> Scenario:
             except ConfigError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
 
-    # every material key but epsilon sets the field of the same name
+    # every material key sets the field of the same name
     updates = {key.split(".")[1]: _get(cfg, key) for key in cfg
-               if key.startswith("material.") and key != "material.epsilon"}
+               if key.startswith("material.")}
     if updates:
         try:
             scn = dataclasses.replace(

@@ -41,10 +41,11 @@ def elastic_energy(geom, bend_stiffness, kappa, kappa_pref,
     directors.
     """
     dev = kappa - kappa_pref
-    total = float(np.sum(geom.w * bend_stiffness * np.sum(dev * dev, axis=1)))
+    total = float(np.add.reduce(
+        geom.w * bend_stiffness * np.add.reduce(dev * dev, axis=1)))
     if twist is not None:
         d = twist - twist_pref
-        total += float(np.sum(geom.hs * twist_stiffness * d * d))
+        total += float(np.add.reduce(geom.hs * twist_stiffness * d * d))
     return total
 
 

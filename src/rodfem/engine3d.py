@@ -101,7 +101,12 @@ class RunResult:
 
 def step_count(duration: float, dt: float, what: str = "duration") -> int:
     """Steps covering the duration, named what; it must divide evenly."""
-    k = int(round(duration / dt))
+    q = duration / dt
+    if not np.isfinite(q):
+        raise InvalidParameterError(
+            f"{what} {duration} takes more steps of {dt} than can be counted"
+        )
+    k = int(round(q))
     if k < 0 or abs(k * dt - duration) > 1e-6 * dt:
         raise InvalidParameterError(
             f"{what} {duration} is not a whole number of steps of {dt}"

@@ -74,29 +74,6 @@ def _row_norms(v):
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
-def averaged_tangent(tau: np.ndarray) -> np.ndarray:
-    """Vertex tangent: normalized mean of the two adjacent element tangents.
-
-    Boundary vertices copy the single adjacent element value.  Adjacent
-    tangents that are (numerically) antiparallel make the average vanish and
-    are rejected.
-    """
-    n_el = tau.shape[0]
-    ttau = np.empty((n_el + 1, tau.shape[1]))
-    ttau[0] = tau[0]
-    ttau[-1] = tau[-1]
-    if n_el > 1:
-        mean = tau[:-1] + tau[1:]
-        norm = _row_norms(mean)
-        if (norm <= ANTIPARALLEL_TOL).any():
-            bad = int(np.argmin(norm)) + 1
-            raise DegenerateGeometryError(
-                f"adjacent tangents antiparallel at vertex {bad}"
-            )
-        ttau[1:-1] = mean / norm[:, None]
-    return ttau
-
-
 @functools.cache
 def identity(dim: int) -> np.ndarray:
     """The read-only (dim, dim) identity, made once per dimension."""
@@ -130,10 +107,12 @@ class FrozenGeometry:
 def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
     """The `FrozenGeometry` of positions x, shape (n, dim), on mesh.
 
-    The weights w_i = (1/2) * sum of the adjacent h * s are the vertex
-    (trapezoidal) quadrature used for all products of vertex fields; they
-    sum to the total arc length.  Raises DegenerateGeometryError when an
-    element has zero length or two adjacent tangents are antiparallel.
+    The vertex tangent is the normalized mean of the two adjacent element
+    tangents; the end vertices copy their one element's.  The weights
+    w_i = (1/2) * sum of the adjacent h * s are the vertex (trapezoidal)
+    quadrature used for all products of vertex fields; they sum to the
+    total arc length.  Raises DegenerateGeometryError when an element has
+    zero length or two adjacent tangents are (numerically) antiparallel.
     """
     x = np.asarray(x, dtype=float)
     dx = x[1:] - x[:-1]
@@ -144,6 +123,14 @@ def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
             f"element {bad} has zero length (coincident vertices)"
         )
     tau = dx / chord[:, None]
+    mean = tau[:-1] + tau[1:]
+    norm = _row_norms(mean)
+    if (norm <= ANTIPARALLEL_TOL).any():
+        bad = int(np.argmin(norm)) + 1
+        raise DegenerateGeometryError(
+            f"adjacent tangents antiparallel at vertex {bad}"
+        )
+    ttau = np.concatenate([tau[:1], mean / norm[:, None], tau[-1:]])
     s = chord / mesh.h
     hs = mesh.h * s
     half = 0.5 * hs
@@ -151,7 +138,7 @@ def frozen_geometry(mesh: Mesh, x: np.ndarray) -> FrozenGeometry:
     w[:-1] += half
     w[1:] += half
     outer = tau[:, :, None] * tau[:, None, :]
-    return FrozenGeometry(tau, s, averaged_tangent(tau), w, hs, dx, outer,
+    return FrozenGeometry(tau, s, ttau, w, hs, dx, outer,
                           identity(tau.shape[1]) - outer)
 
 

@@ -20,30 +20,16 @@ class InitialData:
     e2: np.ndarray  # (N, 3) second director
 
 
-def straight_rod(
-    mesh: Mesh,
-    length: float = 1.0,
-    direction=(1.0, 0.0, 0.0),
-    normal=(0.0, 1.0, 0.0),
-) -> InitialData:
-    """Straight segment of the given length with a constant frame."""
+def straight_rod(mesh: Mesh, length: float = 1.0) -> InitialData:
+    """Straight segment of the given length along the first axis, with e1
+    on the second axis and e2 on the third."""
     if not (np.isfinite(length) and length > 0.0):
         raise InvalidParameterError(f"length must be > 0, got {length}")
-    d = np.asarray(direction, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    dn = np.linalg.norm(d)
-    if dn == 0.0:
-        raise InvalidParameterError("direction must be nonzero")
-    d = d / dn
-    n = n - (n @ d) * d
-    nn = np.linalg.norm(n)
-    if nn < 1e-12:
-        raise InvalidParameterError("normal must not be parallel to direction")
-    n = n / nn
-    b = np.cross(d, n)
-    x = length * mesh.u[:, None] * d
-    e1 = np.tile(n, (mesh.n_vertices, 1))
-    e2 = np.tile(b, (mesh.n_vertices, 1))
+    n = mesh.n_vertices
+    x = np.zeros((n, 3))
+    x[:, 0] = length * mesh.u
+    e1 = np.tile([0.0, 1.0, 0.0], (n, 1))
+    e2 = np.tile([0.0, 0.0, 1.0], (n, 1))
     return InitialData(x=x, e1=e1, e2=e2)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError
 from .materials import IsotropicDrag, MaterialParams, ResistiveForceDrag, taper_profile
 
 FieldFunc = Callable[[np.ndarray, float], np.ndarray]
@@ -66,10 +66,8 @@ def _worm3d_kappa2(u, t):
     return np.where(u <= 1.0 / 3.0, 6.0, 0.0)
 
 
-def builtin_scenario(name: str, eps: float = 0.05) -> Scenario:
+def builtin_scenario(name: str) -> Scenario:
     """One of the three library presets: relaxation, worm2d, worm3d."""
-    if not (np.isfinite(eps) and eps > 0.0):  # else the taper is not positive
-        raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
     if name == "relaxation":
         return Scenario(
             name="relaxation",
@@ -80,11 +78,10 @@ def builtin_scenario(name: str, eps: float = 0.05) -> Scenario:
             drag=IsotropicDrag(),
             spin_up=0.0,
         )
-    taper = lambda u: taper_profile(u, eps)  # noqa: E731
     worm_material = MaterialParams(
-        bend_stiffness=taper,
+        bend_stiffness=taper_profile,
         bend_viscosity=0.0,
-        twist_stiffness=taper,
+        twist_stiffness=taper_profile,
         twist_viscosity=0.0,
         rotary_drag=1.0,
     )

@@ -109,6 +109,20 @@ def test_step_count_requires_whole_steps():
         step_count(1.0, 0.3)
 
 
+@pytest.mark.parametrize("t_final, dt, spin_up, key", [
+    (1.0, 1e-320, 0.0, "t_final"),
+    (1.0, 5e-324, 0.0, "t_final"),
+    (1e300, 1e-10, 0.0, "t_final"),
+    (1.0, 2.0**-40, 1e300, "scenario.spin_up"),
+], ids=["subnormal-dt", "smallest-dt", "huge-t_final", "huge-spin_up"])
+def test_config_rejects_a_step_count_that_overflows(t_final, dt, spin_up,
+                                                    key):
+    # duration / dt is inf: no integer counts the steps
+    scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=spin_up)
+    with pytest.raises(InvalidParameterError, match=f"^{key} "):
+        SimConfig(scn, t_final=t_final, dt=dt)
+
+
 def test_config_validation():
     scn = builtin_scenario("relaxation")
     with pytest.raises(InvalidParameterError):

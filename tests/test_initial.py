@@ -19,14 +19,8 @@ def test_straight_rod_geometry():
     np.testing.assert_allclose(data.x[:, 0], 2.0 * mesh.u)
     np.testing.assert_allclose(data.x[:, 1:], 0.0)
     assert frozen_geometry(mesh, data.x).hs.sum() == pytest.approx(2.0)
-    assert frame_is_adapted(mesh, data)
-
-
-def test_straight_rod_custom_direction():
-    mesh = uniform_mesh(5)
-    d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    data = straight_rod(mesh, length=1.0, direction=d)
-    np.testing.assert_allclose(data.x[-1], d, atol=1e-15)
+    np.testing.assert_array_equal(data.e1, np.tile([0.0, 1.0, 0.0], (8, 1)))
+    np.testing.assert_array_equal(data.e2, np.tile([0.0, 0.0, 1.0], (8, 1)))
     assert frame_is_adapted(mesh, data)
 
 

@@ -47,6 +47,13 @@ def test_swimmer_preset_traveling_wave():
         evaluate_field(scn.twist_pref, np.linspace(0, 1, 5), 2.0), 0.0)
     assert scn.spin_up == 5.0
     assert isinstance(scn.drag, ResistiveForceDrag) and scn.drag.k == 40.0
+    # tapered stiffness at eps = 0.05, no internal viscosity
+    u = np.array([0.0, 0.5])
+    expected = 8.0 * ((0.05 + u) * (1.05 - u)) ** 1.5 / 1.1**3
+    np.testing.assert_allclose(scn.material.bend_stiffness_at(u), expected)
+    np.testing.assert_allclose(scn.material.twist_stiffness_at(u), expected)
+    np.testing.assert_allclose(scn.material.bend_viscosity_at(u), 0.0)
+    assert scn.material.rotary_drag == 1.0
 
 
 def test_spatial_swimmer_adds_a_plane_breaking_window():
@@ -60,16 +67,6 @@ def test_spatial_swimmer_adds_a_plane_breaking_window():
     np.testing.assert_allclose(
         evaluate_field(scn.kappa1_pref, uu, 1.2),
         evaluate_field(planar.kappa1_pref, uu, 1.2))
-
-
-def test_swimmer_presets_taper_with_epsilon():
-    scn = builtin_scenario("worm2d", eps=0.1)
-    u = np.array([0.0, 0.5])
-    expected = 8.0 * ((0.1 + u) * (0.1 + 1.0 - u)) ** 1.5 / 1.2**3
-    np.testing.assert_allclose(scn.material.bend_stiffness_at(u), expected)
-    np.testing.assert_allclose(scn.material.twist_stiffness_at(u), expected)
-    np.testing.assert_allclose(scn.material.bend_viscosity_at(u), 0.0)
-    assert scn.material.rotary_drag == 1.0
 
 
 def test_unknown_preset_is_rejected():
