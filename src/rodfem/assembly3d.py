@@ -72,17 +72,16 @@ class RodState3D:
 
 
 class _Triplets:
-    """Values of one step matrix, put in blocks of the layout's dim slots.
+    """Values of one step matrix, put as blocks into the layout's band.
 
-    Shared by the spatial and the planar assembler.  Each put writes its
-    values into a band of the layout's kl and ku with one indexed
-    assignment.  The first assembly through a layout records each put's
-    flat band positions in `layout.puts`, rejecting an entry outside the
-    band and a position put twice; later ones repeat the puts and reuse them.
+    Shared by the spatial and the planar assembler, which write every entry
+    through one writer, `put`, with one indexed assignment per call.  The
+    first assembly through a layout records each put's flat band positions
+    in `layout.puts`, rejecting an entry outside the band and a position put
+    twice; later ones repeat the puts and reuse them.
     """
 
     def __init__(self, layout):
-        self.d = np.arange(layout.dim)
         self.layout = layout
         self.calls = 0
         self.recording = not layout.puts
@@ -90,54 +89,29 @@ class _Triplets:
         self.matrix = BandedMatrix(layout.ndof, layout.kl, layout.ku)
         self.flat = self.matrix.data.reshape(-1, order="F")
 
-    def _put(self, v, shape, index):
-        """Entries v, broadcast to shape, at the rows and columns index()
-        returns; only a first assembly needs them."""
+    def put(self, r0, c0, v):
+        """Blocks v of shape (k, p, q), block j's top-left entry at row
+        r0[j] and column c0[j]; only a first assembly reads r0 and c0."""
         k = self.calls
         self.calls += 1
         puts = self.puts
         if self.recording:
-            rows, cols = (np.broadcast_to(a, shape) for a in index())
+            _, p, q = v.shape
             try:
-                puts.append(self.matrix.flat_indices(rows, cols))
+                puts.append(self.matrix.flat_indices(
+                    r0[:, None, None] + np.arange(p)[:, None],
+                    c0[:, None, None] + np.arange(q)))
             except ValueError:
                 raise AssemblyError(
                     f"put call {k} has an entry outside the band kl="
                     f"{self.matrix.kl}, ku={self.matrix.ku} of its layout"
                 ) from None
-        elif k >= len(puts) or puts[k].shape != shape:
+        elif k >= len(puts) or puts[k].shape != v.shape:
             raise AssemblyError(
-                f"put call {k} of shape {shape} does not match the band "
+                f"put call {k} of shape {v.shape} does not match the band "
                 f"pattern recorded for this layout"
             )
         self.flat[puts[k]] = v
-
-    def put(self, r, c, v):
-        """Entries v at rows r and columns c."""
-        v = np.asarray(v, dtype=float)
-        self._put(v, v.shape, lambda: (r, c))
-
-    def put_blocks(self, r0, c0, mats):
-        """A (dim, dim) block at each (r0, c0)."""
-        d = self.d
-        self._put(mats, mats.shape, lambda: (r0[:, None, None] + d[:, None],
-                                             c0[:, None, None] + d))
-
-    def put_diag(self, r0, c0, coef):
-        """coef times the (dim, dim) identity at each (r0, c0)."""
-        d = self.d
-        self._put(coef[:, None], (coef.size, d.size),
-                  lambda: (r0[:, None] + d, c0[:, None] + d))
-
-    def put_vec_rows(self, r0, c0, vecs):
-        """A vector down dim rows from r0, in the single column c0."""
-        self._put(vecs, vecs.shape, lambda: (r0[:, None] + self.d,
-                                             c0[:, None]))
-
-    def put_vec_cols(self, r0, c0, vecs):
-        """A vector along dim columns from c0, in the single row r0."""
-        self._put(vecs, vecs.shape, lambda: (r0[:, None],
-                                             c0[:, None] + self.d))
 
     def banded(self, b, what) -> BandedMatrix:
         """The band matrix holding every entry; rejects a non-finite b.
@@ -419,21 +393,21 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     drag_lumped = np.zeros((n,) + K.shape[1:])
     drag_lumped[:-1] += half
     drag_lumped[1:] += half
-    m.put_blocks(fo, xo, drag_lumped / dt)
+    m.put(fo, xo, drag_lumped / dt)
     b[layout.mom_rows] = np.einsum("nij,nj->ni", drag_lumped, x) / dt
 
     # tension forces of element e on its two end vertices
     ntau = -tau
-    m.put_vec_rows(fo[:-1], po, tau)
-    m.put_vec_rows(fo[1:], po, ntau)
+    m.put(fo[:-1], po, tau[:, :, None])
+    m.put(fo[1:], po, ntau[:, :, None])
 
     # transverse bending force, projected difference of the bending moment
     coefP = geom.proj / hs[:, None, None]
     # from the elements left (coefP[:-1]) and right (coefP[1:]) of each
     # interior vertex; the diagonal block is put once, as one sum
-    m.put_blocks(fo[:-2], yi, coefP[:-1])
-    m.put_blocks(fo[ii], yi, -(coefP[:-1] + coefP[1:]))
-    m.put_blocks(fo[2:], yi, coefP[1:])
+    m.put(fo[:-2], yi, coefP[:-1])
+    m.put(fo[ii], yi, -(coefP[:-1] + coefP[1:]))
+    m.put(fo[2:], yi, coefP[1:])
 
     # -- bending law at interior vertices, with the curvature given by the
     # positions
@@ -446,18 +420,19 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     )
     a = 1.0 / hs
     a_l, a_r = a[:-1], a[1:]
-    m.put_diag(lo, yi, w[ii])
-    m.put_blocks(lo, xo[:-2], a_l[:, None, None] * kmat)
-    m.put_blocks(lo, xo[ii], -(a_l + a_r)[:, None, None] * kmat)
-    m.put_blocks(lo, xo[2:], a_r[:, None, None] * kmat)
+    for d in range(ctx.dim):    # w_i·I, without writing its zeros
+        m.put(lo + d, yi + d, w[ii, None, None])
+    m.put(lo, xo[:-2], a_l[:, None, None] * kmat)
+    m.put(lo, xo[ii], -(a_l + a_r)[:, None, None] * kmat)
+    m.put(lo, xo[2:], a_r[:, None, None] * kmat)
     b[layout.law_rows] = w[ii][:, None] * (
         -A_pref
         - B_dt[:, None] * np.einsum("nij,nj->ni", Pt, kappa[ii])
     )
 
     # -- inextensibility per element (tension rows)
-    m.put_vec_cols(po, xo[1:], tau)
-    m.put_vec_cols(po, xo[:-1], ntau)
+    m.put(po, xo[1:], tau[:, None])
+    m.put(po, xo[:-1], ntau[:, None])
     pinned = mesh.h * rest_density
     b[po] = pinned
 
@@ -532,18 +507,18 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb):
     # force of z0 is tz0 on the left vertex and -tz0 on the right
     tzc = tk * zc[:, None]
     tz0 = tk * z0[:, None]
-    m.put_vec_rows(lay.mom_off[:-1], go, tzc)
-    m.put_vec_rows(lay.mom_off[1:], go, -tzc)
+    m.put(lay.mom_off[:-1], go, tzc[:, :, None])
+    m.put(lay.mom_off[1:], go, -tzc[:, :, None])
 
     # -- twist transport per element (twist rows), hs·g/dt + m_e - m_{e+1},
     # with the spin of the element's two vertices given by the twist
     # through the step's `_spin_law`
     inv = 1.0 / rw
-    m.put(go, go, hs / dt + zc * (inv[:-1] + inv[1:]))
-    m.put(go[1:], go[:-1], -zc[:-1] * inv[1:-1])
-    m.put(go[:-1], go[1:], -zc[1:] * inv[1:-1])
-    m.put_vec_cols(go, xo[1:], tk / dt)
-    m.put_vec_cols(go, xo[:-1], -tk / dt)
+    m.put(go, go, (hs / dt + zc * (inv[:-1] + inv[1:]))[:, None, None])
+    m.put(go[1:], go[:-1], (-zc[:-1] * inv[1:-1])[:, None, None])
+    m.put(go[:-1], go[1:], (-zc[1:] * inv[1:-1])[:, None, None])
+    m.put(go, xo[1:], (tk / dt)[:, None])
+    m.put(go, xo[:-1], (-tk / dt)[:, None])
     c_twist = hs * st.twist / dt + sb[:-1] * inv[:-1] - sb[1:] * inv[1:]
     b[go] = c_twist + np.einsum("ed,ed->e", tk, geom.dx) / dt
 

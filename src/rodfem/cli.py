@@ -49,15 +49,13 @@ from .errors import (
 )
 from .geometry import frozen_geometry, perp, uniform_mesh
 from .materials import IsotropicDrag, ResistiveForceDrag
-from .scenarios import Scenario, builtin_scenario, compile_expr
+from .scenarios import PRESET_NAMES, Scenario, builtin_scenario, compile_expr
 from .solver2d import embed_in_space
 
 
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
-
-_PRESET_NAMES = ("relaxation", "worm2d", "worm3d")
 
 # key -> parser tag: str / expr (kept raw), float, int, bool, profile
 _KNOWN_KEYS = {
@@ -161,7 +159,7 @@ def build_scenario(cfg) -> Scenario:
     if name is None:
         raise ConfigError("scenario.name is required")
 
-    if name in _PRESET_NAMES:
+    if name in PRESET_NAMES:
         scn = builtin_scenario(name)
     elif name == "custom":
         if "scenario.alpha0" not in cfg:
@@ -174,7 +172,7 @@ def build_scenario(cfg) -> Scenario:
     else:
         raise ConfigError(
             f"scenario.name: unknown scenario '{name}' "
-            f"(expected one of {', '.join(_PRESET_NAMES)}, or custom)"
+            f"(expected one of {', '.join(PRESET_NAMES)}, or custom)"
         )
 
     # the fields of a custom scenario, and overrides of a preset's, so

@@ -10,7 +10,7 @@ planar model's in `solver2d`.  `run2d` is the same function as `run`.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -134,19 +134,25 @@ def initial_state(mesh: Mesh, scenario: Scenario, data: InitialData = None) -> R
 
 def _check_model(config, mesh, state, initial):
     """Reject a resume state together with initial data, a resume state or
-    initial data made for another model or mesh, and initial data with a
-    non-finite entry."""
+    initial data made for another model or mesh, and a resume state or
+    initial data with a non-finite time or entry."""
     if state is not None and initial is not None:
         raise InvalidParameterError(
             "give a resume state or initial data, not both: a resumed run "
             "continues from its state")
     want = (mesh.n_vertices, config.dimension)
-    if state is not None and state.x.shape != want:
-        raise InvalidParameterError(
-            f"resume state positions have shape {state.x.shape}, the "
-            f"{config.dimension}-d model on this mesh wants {want}"
-        )
-    if initial is not None:
+    if state is not None:
+        if state.x.shape != want:
+            raise InvalidParameterError(
+                f"resume state positions have shape {state.x.shape}, the "
+                f"{config.dimension}-d model on this mesh wants {want}"
+            )
+        if not np.isfinite(state.t):
+            raise InvalidParameterError(
+                f"resume state t is not finite: {state.t}")
+        what, data = "resume state", state
+        names = [f.name for f in fields(state) if f.name != "t"]
+    elif initial is not None:
         shapes = [np.shape(a) for a in (initial.x, initial.e1, initial.e2)]
         if config.dimension == 2 or shapes != [want] * 3:
             raise InvalidParameterError(
@@ -154,14 +160,18 @@ def _check_model(config, mesh, state, initial):
                 f"{config.dimension}-d model on this mesh takes "
                 f"{'none' if config.dimension == 2 else [want] * 3}"
             )
-        for name in ("x", "e1", "e2"):
-            a = getattr(initial, name)
-            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
-            if bad.size:
-                raise InvalidParameterError(
-                    f"initial data {name} is not finite at vertex {bad[0]}: "
-                    f"{a[bad[0]]}"
-                )
+        what, data, names = "initial data", initial, ("x", "e1", "e2")
+    else:
+        return
+    for name in names:
+        a = np.asarray(getattr(data, name))
+        bad = np.flatnonzero(~np.isfinite(a.reshape(len(a), -1)).all(axis=1))
+        if bad.size:
+            where = "vertex" if len(a) == mesh.n_vertices else "element"
+            raise InvalidParameterError(
+                f"{what} {name} is not finite at {where} {bad[0]}: "
+                f"{a[bad[0]]}"
+            )
 
 
 def _advance(mesh, state, geom, t, step, stats):
@@ -272,8 +282,10 @@ def run(config: SimConfig, state=None,
     fresh run starts with the scenario's spin-up phase (driving fields
     clamped at their t = 0 values, clock reset afterwards); a resumed run
     continues the main phase from the state's own time.  Raises
-    InvalidParameterError for a state given with initial data, and for a
-    state or initial data of another shape.
+    InvalidParameterError for a state given with initial data, for a state
+    or initial data of another shape or with a non-finite entry, and for a
+    state whose time is not finite or not a whole number of steps before
+    t_final.
     """
     mesh = uniform_mesh(config.n_vertices)
     if config.dimension == 2:
@@ -290,10 +302,12 @@ def run(config: SimConfig, state=None,
         geom = frozen_geometry(mesh, state.x)
 
     t0 = state.t
-    if round((config.t_final - t0) / config.dt) < 0:
+    if (config.t_final - t0) / config.dt < -0.5:  # rounds to < 0 steps
         raise InvalidParameterError(
             f"resume state is at t={t0}, past t_final={config.t_final}")
-    n_steps = step_count(config.t_final - t0, config.dt)
+    n_steps = step_count(config.t_final - t0, config.dt,
+                         f"t_final={config.t_final} less the resume "
+                         f"time t={t0}:")
     step0 = int(round(t0 / config.dt))
     records = []
     snapshots = {}

@@ -81,5 +81,7 @@ def frame_error(geom: FrozenGeometry, e1, e2) -> float:
     the geometry of the positions the frame belongs to.
     """
     defects = orthonormality_defects(geom.ttau, e1, e2)
-    return float(np.sqrt(np.sum(geom.w * np.sum(defects**2, axis=0))))
+    # np.add.reduce is the core of np.sum, without its dispatch
+    return float(np.sqrt(np.add.reduce(
+        geom.w * np.add.reduce(defects * defects, axis=0))))
 

@@ -66,8 +66,19 @@ def _worm3d_kappa2(u, t):
     return np.where(u <= 1.0 / 3.0, 6.0, 0.0)
 
 
+#: the names `builtin_scenario` takes
+PRESET_NAMES = ("relaxation", "worm2d", "worm3d")
+
+
 def builtin_scenario(name: str) -> Scenario:
-    """One of the three library presets: relaxation, worm2d, worm3d."""
+    """One of the library presets named in PRESET_NAMES.
+
+    The two worms share the in-plane wave, the material and the drag; worm3d
+    adds a preferred curvature of 6 along the second director on u <= 1/3.
+    """
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown scenario preset {name!r} (expected one "
+                          f"of {', '.join(PRESET_NAMES)})")
     if name == "relaxation":
         return Scenario(
             name="relaxation",
@@ -75,37 +86,22 @@ def builtin_scenario(name: str) -> Scenario:
             kappa2_pref=_relaxation_kappa2,
             twist_pref=_relaxation_twist,
             material=MaterialParams(1.0, 1.0, 1.0, 1.0, rotary_drag=1.0),
-            drag=IsotropicDrag(),
-            spin_up=0.0,
         )
-    worm_material = MaterialParams(
-        bend_stiffness=taper_profile,
-        bend_viscosity=0.0,
-        twist_stiffness=taper_profile,
-        twist_viscosity=0.0,
-        rotary_drag=1.0,
+    return Scenario(
+        name=name,
+        kappa1_pref=_worm_kappa1,
+        kappa2_pref=_worm3d_kappa2 if name == "worm3d" else _const(0.0),
+        twist_pref=_const(0.0),
+        material=MaterialParams(
+            bend_stiffness=taper_profile,
+            bend_viscosity=0.0,
+            twist_stiffness=taper_profile,
+            twist_viscosity=0.0,
+            rotary_drag=1.0,
+        ),
+        drag=ResistiveForceDrag(40.0),
+        spin_up=5.0,
     )
-    if name == "worm2d":
-        return Scenario(
-            name="worm2d",
-            kappa1_pref=_worm_kappa1,
-            kappa2_pref=_const(0.0),
-            twist_pref=_const(0.0),
-            material=worm_material,
-            drag=ResistiveForceDrag(40.0),
-            spin_up=5.0,
-        )
-    if name == "worm3d":
-        return Scenario(
-            name="worm3d",
-            kappa1_pref=_worm_kappa1,
-            kappa2_pref=_worm3d_kappa2,
-            twist_pref=_const(0.0),
-            material=worm_material,
-            drag=ResistiveForceDrag(40.0),
-            spin_up=5.0,
-        )
-    raise ConfigError(f"unknown scenario preset {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -352,9 +352,9 @@ def test_a_band_position_put_twice_is_rejected(dim):
     # same position would overwrite the first, so the recording refuses it
     lay = DofLayout(4, dim)
     m = _Triplets(lay)
-    m.put_diag(lay.x_off, lay.x_off, np.ones(4))
-    m.put(lay.p_off, lay.p_off, np.ones(3))
-    m.put(lay.x_off[1:2] + 1, lay.x_off[1:2] + 1, [2.0])
+    m.put(lay.x_off, lay.x_off, np.tile(np.eye(dim), (4, 1, 1)))
+    m.put(lay.p_off, lay.p_off, np.ones((3, 1, 1)))
+    m.put(lay.x_off[1:2] + 1, lay.x_off[1:2] + 1, np.full((1, 1, 1), 2.0))
     with pytest.raises(AssemblyError, match="more than once"):
         m.banded(np.zeros(lay.ndof), "test")
     assert lay.puts == ()
@@ -366,10 +366,10 @@ def test_a_put_outside_the_declared_band_is_rejected(dim):
     # and the layout records no pattern
     lay = DofLayout(6, dim)
     m = _Triplets(lay)
-    m.put_diag(lay.x_off, lay.x_off, np.ones(6))
+    m.put(lay.x_off, lay.x_off, np.tile(np.eye(dim), (6, 1, 1)))
     with pytest.raises(AssemblyError,
                        match=rf"put call 1 .* kl={lay.kl}, ku={lay.ku}"):
-        m.put([0], [lay.ku + 1], [1.0])
+        m.put(np.array([0]), np.array([lay.ku + 1]), np.ones((1, 1, 1)))
     assert lay.puts == ()
 
 

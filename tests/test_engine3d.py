@@ -256,6 +256,52 @@ def test_resume_past_the_horizon_names_the_state_time_and_horizon(model):
     head.final_state.t = 1.0 + 1e-12
     tail = run(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
     assert tail.stats.steps == 0
+    # so far past that the step count overflows a float
+    head.final_state.t = 1e308
+    with pytest.raises(InvalidParameterError, match=r"t=1e\+308, past"):
+        run(SimConfig(scn, t_final=0.5, **pin), state=head.final_state)
+
+
+RESUME = dict(n_vertices=8, dt=0.25)
+
+
+@pytest.mark.parametrize("name, place", [("x", "vertex 2"), ("e1", "vertex 2"),
+                                         ("kappa", "vertex 2"),
+                                         ("twist", "element 2")])
+def test_a_resume_state_with_a_non_finite_entry_is_rejected(name, place):
+    # before the check, a NaN position surfaced as a zero-length element and
+    # a NaN director or curvature as a non-finite right-hand side
+    scn = builtin_scenario("relaxation")
+    head = run(SimConfig(scn, t_final=0.25, **RESUME))
+    st = head.final_state
+    getattr(st, name)[2] = np.nan
+    with pytest.raises(InvalidParameterError,
+                       match=rf"resume state {name} is not finite at {place}"):
+        run(SimConfig(scn, t_final=0.5, **RESUME), state=st)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_resume_state_with_a_non_finite_time_is_rejected(model):
+    # before the check, a NaN time raised a bare ValueError from round()
+    scn = builtin_scenario("relaxation")
+    pin = dict(dimension=MODELS[model], **RESUME)
+    head = run(SimConfig(scn, t_final=0.25, **pin))
+    head.final_state.t = np.nan
+    with pytest.raises(InvalidParameterError,
+                       match="resume state t is not finite: nan"):
+        run(SimConfig(scn, t_final=0.5, **pin), state=head.final_state)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_resume_time_off_the_step_grid_names_it_and_the_horizon(model):
+    scn = builtin_scenario("relaxation")
+    pin = dict(dimension=MODELS[model], **RESUME)
+    head = run(SimConfig(scn, t_final=0.25, **pin))
+    head.final_state.t = 0.3
+    with pytest.raises(InvalidParameterError,
+                       match=r"^t_final=1\.0 less the resume time t=0\.3: 0\.7"
+                             r" is not a whole number of steps of 0\.25$"):
+        run(SimConfig(scn, t_final=1.0, **pin), state=head.final_state)
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -11,6 +11,7 @@ from rodfem.engine3d import SimConfig
 from rodfem.errors import ConfigError
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import (
+    PRESET_NAMES,
     builtin_scenario,
     compile_expr,
     evaluate_field,
@@ -72,6 +73,16 @@ def test_spatial_swimmer_adds_a_plane_breaking_window():
 def test_unknown_preset_is_rejected():
     with pytest.raises(ConfigError):
         builtin_scenario("squid")
+
+
+def test_unknown_preset_error_lists_every_preset_name():
+    # the one list of names: each builds its preset, and the error for any
+    # other name names them all
+    names = [builtin_scenario(name).name for name in PRESET_NAMES]
+    assert names == list(PRESET_NAMES)
+    with pytest.raises(ConfigError, match=r"unknown scenario preset 'worm' "
+                       r"\(expected one of relaxation, worm2d, worm3d\)"):
+        builtin_scenario("worm")
 
 
 # --- expression language ----------------------------------------------------
