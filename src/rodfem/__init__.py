@@ -61,21 +61,18 @@ from .diagnostics import (
     curvature_components,
     eoc,
 )
+from .assembly3d import RodState2D, RodState3D
 from .engine3d import (
-    RodState3D,
     SimConfig,
     RunStats,
     RunResult,
     initial_state,
+    initial_state_2d,
+    embed_in_space,
     step_count,
     run,
     run2d,
     spun_up_state_2d,
-)
-from .solver2d import (
-    RodState2D,
-    initial_state_2d,
-    embed_in_space,
 )
 
 __all__ = [

@@ -1,26 +1,27 @@
-"""One implicit time step of the spatial rod model, and the rows of the
-step system that the spatial and the planar model share.
+"""One implicit time step of either rod model: the spatial step, the planar
+step, and the rows of the step system that the two share.
 
 The spatial step solves simultaneously for position, bending moment, twist
-density, and line tension: 8 unknowns per vertex, 5 in the plane.  All
-geometric coefficients (tangents, length elements, quadrature weights,
-tangent projectors, drag matrices) are frozen at the previous step, which
-makes the system linear.  They live in the previous state's
-`geometry.FrozenGeometry`, computed once per state by `frozen_geometry`;
-the assembly and the decode read them from there, and the drag model builds
-its matrices from it.  The curvature, the twist moment and the tangential
-spin rate are not unknowns of the solve: with the lumped weights the
-curvature identity is diagonal in the curvature, the twist law in the twist
-moment and the angular-momentum balance in the spin, so each is substituted
-into the other rows and recovered from the solution afterwards.  Unknowns
-are interleaved along the rod so the matrix is banded with a
-resolution-independent bandwidth; each row is put in the slot of the
+density, and line tension: 8 unknowns per vertex.  The planar step has no
+directors, twist or spin (its normal is the rotated averaged tangent), and
+5 unknowns per vertex.  All geometric coefficients (tangents, length
+elements, quadrature weights, tangent projectors, drag matrices) are frozen
+at the previous step, which makes the system linear.  They live in the
+previous state's `geometry.FrozenGeometry`, computed once per state by
+`frozen_geometry`; the assembly and the decode read them from there, and
+the drag model builds its matrices from it.  The curvature, the twist moment
+and the tangential spin rate are not unknowns of the solve: with the lumped
+weights the curvature identity is diagonal in the curvature, the twist law
+in the twist moment and the angular-momentum balance in the spin, so each
+is substituted into the other rows and recovered from the solution
+afterwards.  Unknowns are interleaved along the rod so the matrix is banded
+with a resolution-independent bandwidth; each row is put in the slot of the
 unknown it pivots on, which keeps the band that `DofLayout` declares 10
 wide on either side in space and 6 in the plane; the first assembly through
 a layout only records where each put lands.  The momentum balance, the
 bending law with the curvature substituted, and inextensibility are put
-once, by `_rod_rows`, for either dimension; the planar step (`solver2d`) is
-those rows alone, and the spatial step adds the twist to them.  Both models
+once, by `_rod_rows`, for either dimension; the planar step is those rows
+alone, and the spatial step adds the twist rows after them.  Both models
 number their unknowns with one `DofLayout` and hold their per-run constants
 in one `StepContext`, each parameterised by the dimension.
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidParameterError, SolverError
 from .frame import transport_frame
-from .geometry import Mesh, cross, frozen_geometry, identity
+from .geometry import Mesh, cross, frozen_geometry, identity, perp
 from .linsolve import BandedMatrix, factorize, solve
 from .scenarios import Scenario, evaluate_field
 
@@ -69,6 +70,23 @@ class RodState3D:
             self.spin.copy(), self.twist_moment.copy(), self.tension.copy(),
             self.rest_density.copy(),
         )
+
+
+@dataclass
+class RodState2D:
+    """State of one planar step: no directors, twist or spin."""
+
+    t: float
+    x: np.ndarray             # (n, 2)
+    kappa: np.ndarray         # (n, 2)
+    bend_moment: np.ndarray   # (n, 2)
+    tension: np.ndarray       # (ne,)
+    rest_density: np.ndarray  # (ne,)
+
+    def copy(self) -> "RodState2D":
+        return RodState2D(self.t, self.x.copy(), self.kappa.copy(),
+                          self.bend_moment.copy(), self.tension.copy(),
+                          self.rest_density.copy())
 
 
 class _Triplets:
@@ -358,8 +376,9 @@ def _cross_matrices(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
-    """Put the rows both models share; fills b and returns c = b - A·base.
+def _rod_rows(ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
+    """The rows both models share, put into a new `_Triplets` m; returns m,
+    the right-hand side b and c = b - A·base, both zero in other rows.
 
     These are the momentum balance with the tension and the bending force,
     the bending law and inextensibility, in the ctx.dim components of x.
@@ -371,12 +390,13 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     coefficients in place of the curvature, and `_decode_rod` recovers it.
     A_pref is the bending stiffness times the preferred curvature at the
     interior vertices, and gyro the spin term of kmat (0.0 without spin).
-    Rows put by the caller keep b in c.
     """
     mesh, layout = ctx.mesh, ctx.layout
     n = mesh.n_vertices
     tau, ttau, w, hs, dx = geom.tau, geom.ttau, geom.w, geom.hs, geom.dx
     eye = ctx.eye
+    m = _Triplets(layout)
+    b = np.zeros(layout.ndof)
 
     K = ctx.scenario.drag.element_matrices(geom)                # (ne,d,d)
 
@@ -442,7 +462,7 @@ def _rod_rows(m, b, ctx, geom, dt, x, kappa, rest_density, A_pref, gyro):
     c[layout.law_rows] -= np.einsum(
         "nij,nj->ni", kmat, a_r[:, None] * dx[1:] - a_l[:, None] * dx[:-1])
     c[po] = pinned - np.einsum("ed,ed->e", tau, dx)
-    return c
+    return m, b, c
 
 
 def _twist_law(ctx, dt, t_new, twist):
@@ -493,22 +513,32 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb):
     n = mesh.n_vertices
     tau, ttau, hs = geom.tau, geom.ttau, geom.hs
 
-    x, kappa = st.x, st.kappa
-    kbar = 0.5 * (kappa[:-1] + kappa[1:])
+    kbar = 0.5 * (st.kappa[:-1] + st.kappa[1:])
     tk = cross(tau, kbar)                                       # (ne,3)
-
     xo, go = lay.x_off, lay.g_off
     ii = slice(1, n - 1)        # interior vertices
-    b = np.zeros(lay.ndof)
 
-    m = _Triplets(lay)
+    # -- the rows the planar model shares, bent toward alpha e1 + beta e2
+    A_i = ctx.bend_stiffness[ii]
+    B_i = ctx.bend_viscosity[ii]
+    alpha, beta, _ = ctx.drive(t_new)
+    pref = alpha[ii, None] * st.e1[ii] + beta[ii, None] * st.e2[ii]
+    gyro = (B_i * st.spin[ii])[:, None, None] * _cross_matrices(ttau[ii])
+    m, b, c = _rod_rows(ctx, geom, dt, st.x, st.kappa, st.rest_density,
+                        A_i[:, None] * pref, gyro)
 
     # -- twist-moment forces of element e on its two end vertices; the
-    # force of z0 is tz0 on the left vertex and -tz0 on the right
+    # force of z0 is tz0 on the left vertex and -tz0 on the right, and all
+    # there is of c in the momentum rows
     tzc = tk * zc[:, None]
     tz0 = tk * z0[:, None]
     m.put(lay.mom_off[:-1], go, tzc[:, :, None])
     m.put(lay.mom_off[1:], go, -tzc[:, :, None])
+    f0 = np.zeros((n, 3))
+    f0[:-1] -= tz0
+    f0[1:] += tz0
+    b[lay.mom_rows] += f0
+    c[lay.mom_rows] = f0
 
     # -- twist transport per element (twist rows), hs·g/dt + m_e - m_{e+1},
     # with the spin of the element's two vertices given by the twist
@@ -519,24 +549,8 @@ def assemble_step(ctx, geom, dt, t_new, st, zc, z0, rw, sb):
     m.put(go[:-1], go[1:], (-zc[1:] * inv[1:-1])[:, None, None])
     m.put(go, xo[1:], (tk / dt)[:, None])
     m.put(go, xo[:-1], (-tk / dt)[:, None])
-    c_twist = hs * st.twist / dt + sb[:-1] * inv[:-1] - sb[1:] * inv[1:]
-    b[go] = c_twist + np.einsum("ed,ed->e", tk, geom.dx) / dt
-
-    # -- the rows the planar model shares, bent toward alpha e1 + beta e2
-    A_i = ctx.bend_stiffness[ii]
-    B_i = ctx.bend_viscosity[ii]
-    alpha, beta, _ = ctx.drive(t_new)
-    pref = alpha[ii, None] * st.e1[ii] + beta[ii, None] * st.e2[ii]
-    gyro = (B_i * st.spin[ii])[:, None, None] * _cross_matrices(ttau[ii])
-    c = _rod_rows(m, b, ctx, geom, dt, x, kappa, st.rest_density,
-                  A_i[:, None] * pref, gyro)
-    c[go] = c_twist
-    # the forces of z0 are all there is of c in the momentum rows
-    f0 = np.zeros((n, 3))
-    f0[:-1] -= tz0
-    f0[1:] += tz0
-    b[lay.mom_rows] += f0
-    c[lay.mom_rows] = f0
+    c[go] = hs * st.twist / dt + sb[:-1] * inv[:-1] - sb[1:] * inv[1:]
+    b[go] = c[go] + np.einsum("ed,ed->e", tk, geom.dx) / dt
     return m.banded(b, "step"), b, c
 
 
@@ -572,3 +586,30 @@ def solve_step(ctx, geom, dt, t_new, st):
         rest_density=st.rest_density,
     )
     return new, gnew, res
+
+
+def assemble_step_2d(ctx, geom, dt, t_new, st):
+    """Step matrix A, right-hand side b, and c = b - A·base for one planar
+    step from st: the rows the spatial model shares, without spin and
+    twist, bent toward alpha times the planar normal; see `assemble_step`."""
+    ii = slice(1, ctx.mesh.n_vertices - 1)      # interior vertices
+    A_i = ctx.bend_stiffness[ii]
+    alpha = ctx.drive(t_new)[0]
+    m, b, c = _rod_rows(ctx, geom, dt, st.x, st.kappa, st.rest_density,
+                        A_i[:, None] * alpha[ii, None] * perp(geom.ttau[ii]),
+                        0.0)
+    return m.banded(b, "planar step"), b, c
+
+
+def solve_step_2d(ctx, geom, dt, t_new, st):
+    """One implicit planar step from st, whose frozen geometry is geom, to
+    the time t_new; returns the new `RodState2D`, its frozen geometry and
+    the step's relative residual."""
+    matrix, b, c = assemble_step_2d(ctx, geom, dt, t_new, st)
+    sol, res = _solve_increment(matrix, b, c, "planar step", t_new)
+    x, y, kappa = _decode_rod(ctx, geom, st.x, sol)
+    ends = [0, -1]
+    kappa[ends] = ctx.drive(t_new)[0][ends, None] * perp(geom.ttau[ends])
+    new = RodState2D(t_new, x, kappa, y, sol[ctx.layout.p_off],
+                     st.rest_density)
+    return new, frozen_geometry(ctx.mesh, x), res

@@ -40,17 +40,17 @@ from .diagnostics import (
     write_snapshot,
     write_table,
 )
-from .engine3d import SimConfig, run, spun_up_state_2d, step_count
+from .engine3d import (SimConfig, embed_in_space, run, spun_up_state_2d,
+                       step_count)
 from .errors import (
     ConfigError,
     InvalidMeshError,
     InvalidParameterError,
     RodfemError,
 )
-from .geometry import frozen_geometry, perp, uniform_mesh
+from .geometry import uniform_mesh
 from .materials import IsotropicDrag, ResistiveForceDrag
 from .scenarios import PRESET_NAMES, Scenario, builtin_scenario, compile_expr
-from .solver2d import embed_in_space
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +255,20 @@ def _then_create_out(args, work):
 def _snapshot_files(out_dir, mesh, step, state):
     """Write snap_<step>.csv / snapel_<step>.csv; returns their names."""
     vname, ename = f"snap_{step}.csv", f"snapel_{step}.csv"
-    if state.x.shape[1] == 2:
-        state = embed_in_space(mesh, state)
     write_snapshot(out_dir / vname, out_dir / ename, mesh, state.x, state.e1,
                    state.e2, state.kappa, state.spin, state.twist,
                    state.twist_moment, state.tension)
     return vname, ename
 
 
-def _kymograph_samples(mesh, snapshots):
+def _kymograph_samples(snapshots, twisted):
+    """Samples of the spatial snapshots; the twist only when twisted."""
     samples = []
     for step in sorted(snapshots):
         st = snapshots[step]
-        if st.x.shape[1] == 2:
-            nu = perp(frozen_geometry(mesh, st.x).ttau)
-            alpha = np.einsum("nd,nd->n", st.kappa, nu)
-            samples.append({"t": st.t, "alpha": alpha,
-                            "beta": np.zeros_like(alpha), "gamma": None})
-        else:
-            alpha, beta = curvature_components(st.kappa, st.e1, st.e2)
-            samples.append({"t": st.t, "alpha": alpha, "beta": beta,
-                            "gamma": st.twist})
+        alpha, beta = curvature_components(st.kappa, st.e1, st.e2)
+        samples.append({"t": st.t, "alpha": alpha, "beta": beta,
+                        "gamma": st.twist if twisted else None})
     return samples
 
 
@@ -326,17 +319,21 @@ def cmd_run(args) -> int:
 
     result, out_dir = _then_create_out(args, lambda: run(sim))
     mesh = uniform_mesh(sim.n_vertices)
+    snapshots = result.snapshots
+    if sim.dimension == 2:      # every output reads a planar state lifted
+        snapshots = {k: embed_in_space(mesh, st)
+                     for k, st in snapshots.items()}
 
     write_diagnostics(out_dir / "diagnostics.csv", result.records)
     outputs = {"diagnostics": "diagnostics.csv", "snapshots": []}
-    for step in sorted(result.snapshots):
-        names = _snapshot_files(out_dir, mesh, step, result.snapshots[step])
+    for step in sorted(snapshots):
+        names = _snapshot_files(out_dir, mesh, step, snapshots[step])
         outputs["snapshots"].extend(names)
     if kymograph:
         write_kymograph(
             out_dir / "kymograph_vertices.csv",
             out_dir / "kymograph_elements.csv",
-            mesh, _kymograph_samples(mesh, result.snapshots),
+            mesh, _kymograph_samples(snapshots, sim.dimension == 3),
         )
         outputs["kymograph"] = ["kymograph_vertices.csv",
                                 "kymograph_elements.csv"]

@@ -123,7 +123,7 @@ def write_snapshot(vertex_path, element_path, mesh, x, e1, e2, kappa, spin,
     """Write the vertex and element state tables of one spatial state.
 
     A planar state is written through its embedding in space,
-    `solver2d.embed_in_space`.
+    `engine3d.embed_in_space`.
     """
     write_table(
         vertex_path,

@@ -5,8 +5,9 @@
 per-step invariant probe, the diagnostics records, the snapshots and the
 run result.  Each model hands the loop its fresh state, its step and its
 energy/frame-error measure as plain callables.  Each step maps a state to
-the next one; the spatial model's state and step live in `assembly3d`, the
-planar model's in `solver2d`.  `run2d` is the same function as `run`.
+the next one; both models' states and steps live in `assembly3d`, their
+fresh states here, next to the lift of a planar state into space.  `run2d`
+is the same function as `run`.
 """
 
 import time
@@ -14,7 +15,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assembly3d import RodState3D, StepContext, solve_step
+from .assembly3d import (RodState2D, RodState3D, StepContext, solve_step,
+                         solve_step_2d)
 from .diagnostics import (DiagnosticsRecord, center_of_mass, elastic_energy,
                           length_error)
 from .errors import InvalidParameterError
@@ -23,7 +25,6 @@ from .geometry import (Mesh, element_twist, frozen_geometry, perp,
                        uniform_mesh, vertex_curvature)
 from .initial import InitialData, straight_rod
 from .scenarios import Scenario
-from .solver2d import RodState2D, initial_state_2d, solve_step_2d
 
 
 @dataclass
@@ -74,7 +75,9 @@ class SimConfig:
 
 @dataclass
 class RunStats:
-    """Per-step invariants accumulated over the whole run (spin-up included)."""
+    """Per-step invariants of a run.  steps and the step probes cover the
+    spin-up too; max_f1, max_f2 and max_f2_increment are read from the
+    records, which cover the main phase only."""
 
     steps: int = 0
     max_f1: float = 0.0
@@ -132,33 +135,83 @@ def initial_state(mesh: Mesh, scenario: Scenario, data: InitialData = None) -> R
     )
 
 
-def _check_model(config, mesh, state, initial):
+def initial_state_2d(mesh: Mesh, scenario: Scenario) -> RodState2D:
+    """Planar state at t = 0: straight along the first axis, auxiliaries
+    at rest."""
+    n = mesh.n_vertices
+    x = np.zeros((n, 2))
+    x[:, 0] = scenario.length * mesh.u
+    geom = frozen_geometry(mesh, x)
+    return RodState2D(
+        t=0.0, x=x, kappa=vertex_curvature(geom),
+        bend_moment=np.zeros((n, 2)), tension=np.zeros(n - 1),
+        rest_density=geom.s.copy(),
+    )
+
+
+def embed_in_space(mesh: Mesh, state: RodState2D) -> RodState3D:
+    """Lift a planar state into the spatial model.
+
+    The first director is the planar normal with a zero third component, the
+    second is the plane normal, and every out-of-plane auxiliary starts at
+    zero; the spatial step then reproduces the planar dynamics exactly.
+    """
+    n, ne = mesh.n_vertices, mesh.n_elements
+
+    def lift(a):
+        out = np.zeros((a.shape[0], 3))
+        out[:, :2] = a
+        return out
+
+    nu = perp(frozen_geometry(mesh, state.x).ttau)
+    e2 = np.zeros((n, 3))
+    e2[:, 2] = 1.0
+    return RodState3D(
+        t=state.t, x=lift(state.x), e1=lift(nu), e2=e2,
+        kappa=lift(state.kappa), twist=np.zeros(ne),
+        bend_moment=lift(state.bend_moment), spin=np.zeros(n),
+        twist_moment=np.zeros(ne), tension=state.tension.copy(),
+        rest_density=state.rest_density.copy(),
+    )
+
+
+def _check_model(config, mesh, state, initial, fresh_state):
     """Reject a resume state together with initial data, a resume state or
     initial data made for another model or mesh, and a resume state or
-    initial data with a non-finite time or entry."""
+    initial data with a non-finite time or entry.
+
+    A resume state must have the type and every field's shape of the
+    model's fresh state; fresh_state() is called only to check one.
+    """
     if state is not None and initial is not None:
         raise InvalidParameterError(
             "give a resume state or initial data, not both: a resumed run "
             "continues from its state")
-    want = (mesh.n_vertices, config.dimension)
+    model = f"the {config.dimension}-d model on this mesh"
     if state is not None:
-        if state.x.shape != want:
+        ref = fresh_state()     # straight: no initial data comes with a state
+        if type(state) is not type(ref):
             raise InvalidParameterError(
-                f"resume state positions have shape {state.x.shape}, the "
-                f"{config.dimension}-d model on this mesh wants {want}"
-            )
+                f"resume state is a {type(state).__name__}, {model} takes "
+                f"a {type(ref).__name__}")
+        names = [f.name for f in fields(ref) if f.name != "t"]
+        for name in names:
+            shape, want = (np.shape(getattr(s, name)) for s in (state, ref))
+            if shape != want:
+                raise InvalidParameterError(
+                    f"resume state {name} has shape {shape}, {model} wants "
+                    f"{want}")
         if not np.isfinite(state.t):
             raise InvalidParameterError(
                 f"resume state t is not finite: {state.t}")
         what, data = "resume state", state
-        names = [f.name for f in fields(state) if f.name != "t"]
     elif initial is not None:
         shapes = [np.shape(a) for a in (initial.x, initial.e1, initial.e2)]
-        if config.dimension == 2 or shapes != [want] * 3:
+        want = [(mesh.n_vertices, 3)] * 3
+        if config.dimension == 2 or shapes != want:
             raise InvalidParameterError(
-                f"initial data x, e1, e2 have shapes {shapes}, the "
-                f"{config.dimension}-d model on this mesh takes "
-                f"{'none' if config.dimension == 2 else [want] * 3}"
+                f"initial data x, e1, e2 have shapes {shapes}, {model} takes "
+                f"{'none' if config.dimension == 2 else want}"
             )
         what, data, names = "initial data", initial, ("x", "e1", "e2")
     else:
@@ -293,7 +346,7 @@ def run(config: SimConfig, state=None,
     else:
         fresh_state, step, measure = _spatial_model(config, mesh, initial)
     wall0 = time.perf_counter()
-    _check_model(config, mesh, state, initial)
+    _check_model(config, mesh, state, initial, fresh_state)
     stats = RunStats()
     if state is None:
         state, geom = _spin_up(config, mesh, fresh_state(), step, stats)

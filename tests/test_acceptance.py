@@ -13,14 +13,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rodfem.engine3d import SimConfig, run, spun_up_state_2d
+from rodfem.engine3d import (RunStats, SimConfig, embed_in_space, run,
+                             spun_up_state_2d)
 from rodfem.geometry import (Mesh, frozen_geometry, uniform_mesh,
                              vertex_curvature)
 from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
-from rodfem.solver2d import embed_in_space
-from rodfem.engine3d import RunStats
 
 LEVELS = range(5)
 

@@ -14,14 +14,17 @@ from hypothesis import strategies as hst
 
 from rodfem.assembly3d import (
     DofLayout,
+    RodState2D,
     RodState3D,
     StepContext,
     _Triplets,
     _spin_law,
     _twist_law,
     assemble_step,
+    assemble_step_2d,
     frozen_geometry,
     solve_step,
+    solve_step_2d,
 )
 from rodfem.errors import AssemblyError, InvalidParameterError
 from rodfem.geometry import element_twist, uniform_mesh, vertex_curvature
@@ -29,7 +32,6 @@ from rodfem.initial import straight_rod
 from rodfem.materials import IsotropicDrag, MaterialParams, ResistiveForceDrag
 from rodfem.scenarios import (Scenario, builtin_scenario, compile_expr,
                               evaluate_field)
-from rodfem.solver2d import RodState2D, assemble_step_2d, solve_step_2d
 
 from reference_dense import dense_from_band, ref_step_3d
 

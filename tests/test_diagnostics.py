@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rodfem.assembly3d import RodState2D
 from rodfem.diagnostics import (
     DIAGNOSTICS_COLUMNS,
     DiagnosticsRecord,
@@ -22,9 +23,9 @@ from rodfem.diagnostics import (
     write_snapshot,
     write_table,
 )
+from rodfem.engine3d import embed_in_space
 from rodfem.geometry import (FrozenGeometry, Mesh, frozen_geometry,
                              uniform_mesh)
-from rodfem.solver2d import RodState2D, embed_in_space
 
 
 def weighted(w=None, hs=None):

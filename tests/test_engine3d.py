@@ -1,11 +1,13 @@
 """Spatial time stepping: oracle agreement, invariants, run bookkeeping."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import rodfem
+from rodfem.assembly3d import RodState2D, RodState3D
 from rodfem.diagnostics import center_of_mass, length_error
 from rodfem.engine3d import SimConfig, initial_state, run, step_count
 from rodfem.errors import InvalidParameterError
@@ -280,6 +282,25 @@ def test_a_resume_state_with_a_non_finite_entry_is_rejected(name, place):
         run(SimConfig(scn, t_final=0.5, **RESUME), state=st)
 
 
+@pytest.mark.parametrize("model, name", [
+    (model, f.name)
+    for model, cls in (("spatial", RodState3D), ("planar", RodState2D))
+    for f in dataclasses.fields(cls) if f.name != "t"])
+def test_a_resume_state_with_a_short_field_is_rejected_naming_it(model, name):
+    # before the check, only x's shape was checked: a short kappa or twist
+    # raised a raw numpy ValueError, and a spin holding vertices 1..n-1 ran
+    scn = builtin_scenario("relaxation")
+    pin = dict(dimension=MODELS[model], **RESUME)
+    st = run(SimConfig(scn, t_final=0.25, **pin)).final_state
+    full = getattr(st, name)
+    short = dataclasses.replace(st, **{name: full[1:]})
+    with pytest.raises(InvalidParameterError, match=(
+            rf"^resume state {name} has shape "
+            rf"{re.escape(str(full[1:].shape))}, .* wants "
+            rf"{re.escape(str(full.shape))}$")):
+        run(SimConfig(scn, t_final=0.5, **pin), state=short)
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_a_resume_state_with_a_non_finite_time_is_rejected(model):
     # before the check, a NaN time raised a bare ValueError from round()
@@ -340,6 +361,17 @@ def test_records_are_the_functionals_of_their_states_geometry(model, preset):
         assert rec.f1 == length_error(geom, scn.length)
         assert rec.total_length == float(geom.hs.sum())
         assert rec.com.tobytes() == center_of_mass(geom, x).tobytes()
+
+
+def test_stats_count_spin_up_steps_and_take_the_functionals_from_records():
+    # worm2d spins up for 5 time units, 10 steps of 0.5, before its 2 steps
+    res = run(SimConfig(builtin_scenario("worm2d"), n_vertices=8, dt=0.5,
+                        t_final=1.0, dimension=2))
+    assert res.stats.steps == 12 and len(res.records) == 3
+    assert res.stats.max_f1 == max(r.f1 for r in res.records)
+    assert res.stats.max_f2 == max(r.f2 for r in res.records)
+    assert res.stats.max_f2_increment == max(r.f2_increment
+                                             for r in res.records)
 
 
 def test_run2d_is_run():

@@ -1,12 +1,13 @@
 """Source hygiene that a linter would check: no module imports a name it
-never uses, and no package module reads another object's private
-attributes.
+never uses, no package module reads another object's private attributes,
+and no package module imports another's private names.
 
 Every module of the package and of the test suite is parsed, not imported.
 An imported name counts as used when some expression of its module reads
 it, or when the module lists it in ``__all__`` (a package re-export).  A
-private attribute has one leading underscore; a package module may read
-one only through ``self`` or ``cls``.
+private attribute or name has one leading underscore; a package module may
+read a private attribute only through ``self`` or ``cls``, and a private
+name only where it is defined.
 """
 
 import ast
@@ -76,3 +77,23 @@ def test_no_module_reads_a_private_attribute_of_another_object(path):
     reads = private_reads(tree)
     assert not reads, ", ".join(f"{expr} (line {line})"
                                 for line, expr in reads)
+
+
+def private_imports(tree):
+    """(line, name) of every name with one leading underscore that an
+    import from another package module binds."""
+    return sorted(
+        (node.lineno, alias.name) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("rodfem"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_package_module_imports_a_private_name_of_another(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = private_imports(tree)
+    assert not imports, ", ".join(f"{name} (line {line})"
+                                  for line, name in imports)

@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from rodfem import (SimConfig, builtin_scenario, linsolve, spun_up_state_2d,
                     uniform_mesh)
-from rodfem.assembly3d import StepContext, frozen_geometry
+from rodfem.assembly3d import StepContext, assemble_step_2d, frozen_geometry
 from rodfem.errors import AssemblyError, SingularMatrixError
 from rodfem.linsolve import BandedLU, BandedMatrix, factorize, solve
-from rodfem.solver2d import assemble_step_2d
 
 from reference_dense import band_from_dense, dense_from_band
 

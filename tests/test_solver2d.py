@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from rodfem.assembly3d import DofLayout
-from rodfem.engine3d import SimConfig, run, spun_up_state_2d
+from rodfem.engine3d import (SimConfig, embed_in_space, initial_state_2d, run,
+                             spun_up_state_2d)
 from rodfem.errors import InvalidParameterError
 from rodfem.geometry import uniform_mesh
-from rodfem.solver2d import embed_in_space, initial_state_2d
 from rodfem.scenarios import builtin_scenario
 
 from reference_dense import ref_step_2d
