@@ -52,6 +52,8 @@ CASES = (
     ("relaxation-n16", "relaxation", 16, 3, "fresh"),
     ("relaxation-n128", "relaxation", 128, 3, "fresh"),
     ("worm3d-n3", "worm3d", 3, 3, "fresh"),
+    # u = 1/3 is a vertex: worm3d's closed window includes it
+    ("worm3d-n4", "worm3d", 4, 3, "fresh"),
     ("worm3d-n32", "worm3d", 32, 3, "fresh"),
     ("worm2d-n3", "worm2d", 3, 2, "fresh"),
     ("worm2d-n64", "worm2d", 64, 2, "fresh"),

@@ -44,7 +44,6 @@ from .materials import (
     MaterialParams,
     IsotropicDrag,
     ResistiveForceDrag,
-    taper_profile,
 )
 from .scenarios import Scenario, builtin_scenario, compile_expr, evaluate_field
 from .initial import InitialData, straight_rod, circle_arc
@@ -99,7 +98,6 @@ __all__ = [
     "MaterialParams",
     "IsotropicDrag",
     "ResistiveForceDrag",
-    "taper_profile",
     "Scenario",
     "builtin_scenario",
     "compile_expr",

@@ -41,7 +41,7 @@ from .errors import AssemblyError, InvalidParameterError, SolverError
 from .frame import transport_frame
 from .geometry import Mesh, cross, frozen_geometry, identity, perp
 from .linsolve import BandedMatrix, factorize, solve
-from .scenarios import Scenario, evaluate_field
+from .scenarios import FIELD_KEYS, Scenario, evaluate_field
 
 #: largest relative residual |c - A·increment| / |b| a step may leave
 RESIDUAL_TOL = 1e-10
@@ -340,17 +340,17 @@ class StepContext:
         if t != self._drive_t:
             beta = gamma0 = None
             with np.errstate(all="ignore"):
-                alpha = self._field("kappa1_pref", "alpha0", t)
+                alpha = self._field("kappa1_pref", t)
                 if self.dim == 3:
-                    beta = self._field("kappa2_pref", "beta0", t)
-                    gamma0 = self._field("twist_pref", "gamma0", t)
+                    beta = self._field("kappa2_pref", t)
+                    gamma0 = self._field("twist_pref", t)
             self._drive_t, self._drive = t, (alpha, beta, gamma0)
         return self._drive
 
-    def _field(self, name, key, t):
-        """The scenario's preferred field `name` (config key scenario.key)
-        at time t, on the vertices, or on the element midpoints for the
-        twist; read-only."""
+    def _field(self, name, t):
+        """The scenario's preferred field `name` (its config key is in
+        FIELD_KEYS) at time t, on the vertices, or on the element midpoints
+        for the twist; read-only."""
         twist = name == "twist_pref"
         u = self.mesh.midpoints if twist else self.mesh.u
         values = evaluate_field(getattr(self.scenario, name), u, t)
@@ -358,8 +358,8 @@ class StepContext:
         if bad.size:
             i = bad[0]
             raise InvalidParameterError(
-                f"scenario.{key} ({name}) is not finite at t={t:g}: "
-                f"{values[i]} at {'element' if twist else 'vertex'} {i} "
+                f"scenario.{FIELD_KEYS[name]} ({name}) is not finite at "
+                f"t={t:g}: {values[i]} at {'element' if twist else 'vertex'} {i} "
                 f"(u={u[i]:g})"
             )
         return _read_only(values)

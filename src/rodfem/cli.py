@@ -15,12 +15,11 @@ lines ('#' starts a comment).  Unknown keys are rejected by name so typos
 fail loudly rather than silently running defaults.
 
 Exit codes: 0 on success, 2 for configuration problems (the message names
-the offending field), 3 when the linear algebra or the geometry breaks down
-mid-run.
+the offending field; a run too large for memory is one), 3 when the linear
+algebra or the geometry breaks down mid-run.
 """
 
 import argparse
-import ast
 import dataclasses
 import json
 import platform
@@ -50,7 +49,8 @@ from .errors import (
 )
 from .geometry import uniform_mesh
 from .materials import IsotropicDrag, ResistiveForceDrag
-from .scenarios import PRESET_NAMES, Scenario, builtin_scenario, compile_expr
+from .scenarios import (FIELD_KEYS, PRESET_NAMES, Scenario, builtin_scenario,
+                        compile_expr, compile_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,9 @@ def _profile_of(cfg, key):
     except ValueError:
         pass
     try:
-        f = compile_expr(raw)
+        return compile_profile(raw)
     except ConfigError as exc:
         raise ConfigError(f"{key}: {exc}") from None
-    if any(isinstance(node, ast.Name) and node.id == "t"
-           for node in ast.walk(ast.parse(raw, mode="eval"))):
-        raise ConfigError(
-            f"{key}: a material profile depends on u only, got '{raw}'")
-    return lambda u, _f=f: _f(u, 0.0)
 
 
 def build_scenario(cfg) -> Scenario:
@@ -166,9 +161,8 @@ def build_scenario(cfg) -> Scenario:
             raise ConfigError(
                 "scenario.alpha0 is required when scenario.name = custom"
             )
-        zero = compile_expr("0")
-        scn = Scenario(name="custom", kappa1_pref=zero, kappa2_pref=zero,
-                       twist_pref=zero)
+        scn = Scenario(name="custom",
+                       **dict.fromkeys(FIELD_KEYS, compile_expr("0")))
     else:
         raise ConfigError(
             f"scenario.name: unknown scenario '{name}' "
@@ -177,9 +171,8 @@ def build_scenario(cfg) -> Scenario:
 
     # the fields of a custom scenario, and overrides of a preset's, so
     # small variations of the bundled studies need no custom scenario
-    for key, attr in (("scenario.alpha0", "kappa1_pref"),
-                      ("scenario.beta0", "kappa2_pref"),
-                      ("scenario.gamma0", "twist_pref")):
+    for attr, suffix in FIELD_KEYS.items():
+        key = f"scenario.{suffix}"
         if key in cfg:
             try:
                 scn = dataclasses.replace(scn, **{attr: compile_expr(cfg[key])})
@@ -498,6 +491,11 @@ def main(argv=None) -> int:
     except RodfemError as exc:
         print(f"rodfem: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        where = "run.n_vertices" if args.command == "run" else "--levels"
+        print(f"rodfem: config error: {where}: the run does not fit in "
+              f"memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

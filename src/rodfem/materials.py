@@ -1,8 +1,9 @@
 """Material parameters and drag models.
 
-Stiffness/viscosity profiles are functions of the parameter u; scalars are
-promoted.  Elastic moduli must be strictly positive where sampled, viscous
-ones nonnegative (the scheme's stability argument needs exactly that).
+Stiffness/viscosity profiles are numbers or functions of the parameter u
+(`scenarios.compile_profile` builds one from an expression).  Elastic moduli
+must be strictly positive where sampled, viscous ones nonnegative (the
+scheme's stability argument needs exactly that).
 
 A drag model turns the `geometry.FrozenGeometry` of a state into one drag
 matrix per element, `element_matrices(geom)`.
@@ -18,27 +19,11 @@ from .errors import InvalidParameterError
 Profile = Union[float, Callable[[np.ndarray], np.ndarray]]
 
 
-def taper_profile(u: np.ndarray, eps: float = 0.05) -> np.ndarray:
-    """Spindle-like stiffness profile, 1 at the midpoint, thin at the ends.
-
-    8*((eps+u)*(eps+1-u))^(3/2) / (1+2*eps)^3 — symmetric about u = 1/2.
-    """
-    u = np.asarray(u, dtype=float)
-    return 8.0 * ((eps + u) * (eps + 1.0 - u)) ** 1.5 / (1.0 + 2.0 * eps) ** 3
-
-
-def as_profile(value: Profile) -> Callable[[np.ndarray], np.ndarray]:
-    """Promote a scalar to a constant profile; pass callables through."""
-    if callable(value):
-        return value
-    c = float(value)
-    return lambda u: np.full_like(np.asarray(u, dtype=float), c)
-
-
 def _sample(profile, u, name, strict_positive):
     # numpy's warnings (1/0, overflow) name no field; the checks below do
     with np.errstate(all="ignore"):
-        vals = np.asarray(as_profile(profile)(u), dtype=float)
+        vals = np.asarray(profile(u) if callable(profile) else profile,
+                          dtype=float)
     if vals.shape != np.asarray(u).shape:
         vals = np.broadcast_to(vals, np.asarray(u).shape).copy()
     if not np.all(np.isfinite(vals)):

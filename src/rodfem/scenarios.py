@@ -4,11 +4,14 @@ A scenario bundles the three preferred fields (two bending components in the
 director frame and one twist density), the material, the drag model, and the
 protocol constants (spin-up time, rod length).
 
-Custom fields are plain strings in u and t (see compile_expr): polynomial
-amplitudes, travelling sinusoids, window indicators.  Python's `ast` module
-parses them, so grammar and precedence are Python's; closures built over a
-whitelist of node types (numbers, u, t, pi, + - * / **, unary + and -, calls
-of the named functions) evaluate them, and no user code is ever executed.
+Fields are written as strings in u and t and compiled by compile_expr:
+polynomial amplitudes, travelling sinusoids, window indicators.  The presets
+are data in the same language, their moduli too (compile_profile compiles an
+expression in u alone), and FIELD_KEYS names each field's config key.
+Python's `ast` module parses them, so grammar and precedence are Python's;
+closures built over a whitelist of node types (numbers, u, t, pi, + - * / **,
+unary + and -, calls of the named functions) evaluate them, and no user code
+is ever executed.
 Numbers, pi and t are float64 scalars, so 1/t at t = 0 is inf, not an error.
 """
 
@@ -21,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import ConfigError
-from .materials import IsotropicDrag, MaterialParams, ResistiveForceDrag, taper_profile
+from .materials import IsotropicDrag, MaterialParams, ResistiveForceDrag
 
 FieldFunc = Callable[[np.ndarray, float], np.ndarray]
 
@@ -38,70 +41,45 @@ class Scenario:
     length: float = 1.0
 
 
-def _const(c: float) -> FieldFunc:
-    return lambda u, t: np.full(np.shape(u), float(c))
+#: the config key of each preferred field: scenario.alpha0 sets kappa1_pref
+FIELD_KEYS = {"kappa1_pref": "alpha0", "kappa2_pref": "beta0",
+              "twist_pref": "gamma0"}
 
+_WORM_WAVE = "(10*u + 8*(1 - u))*sin(2*pi*u/0.65 - 0.6*pi*t)"
 
-def _relaxation_kappa1(u, t):
-    return 2.0 * np.sin(1.5 * np.pi * np.asarray(u))
+#: each preset's preferred fields in FIELD_KEYS' order, as expressions;
+#: worm3d's window is closed, so a vertex sitting exactly on 1/3 is inside
+_PRESET_FIELDS = {
+    "relaxation": ("2*sin(1.5*pi*u)", "3*cos(1.5*pi*u)", "5*cos(2*pi*u)"),
+    "worm2d": (_WORM_WAVE, "0", "0"),
+    "worm3d": (_WORM_WAVE, "6*step(u, 0, 1/3)", "0"),
+}
 
-
-def _relaxation_kappa2(u, t):
-    return 3.0 * np.cos(1.5 * np.pi * np.asarray(u))
-
-
-def _relaxation_twist(u, t):
-    return 5.0 * np.cos(2.0 * np.pi * np.asarray(u))
-
-
-def _worm_kappa1(u, t):
-    u = np.asarray(u)
-    amplitude = 10.0 * u + 8.0 * (1.0 - u)
-    return amplitude * np.sin(2.0 * np.pi * u / 0.65 - 0.6 * np.pi * t)
-
-
-def _worm3d_kappa2(u, t):
-    # window closed at the jump: the vertex sitting exactly on 1/3 is inside
-    u = np.asarray(u)
-    return np.where(u <= 1.0 / 3.0, 6.0, 0.0)
-
+#: the worms' bending and twisting moduli: 1 at the midpoint, thin at the ends
+_WORM_TAPER = "8*((0.05 + u)*(1.05 - u))**1.5 / 1.1**3"
 
 #: the names `builtin_scenario` takes
-PRESET_NAMES = ("relaxation", "worm2d", "worm3d")
+PRESET_NAMES = tuple(_PRESET_FIELDS)
 
 
 def builtin_scenario(name: str) -> Scenario:
     """One of the library presets named in PRESET_NAMES.
 
-    The two worms share the in-plane wave, the material and the drag; worm3d
-    adds a preferred curvature of 6 along the second director on u <= 1/3.
+    The two worms share the in-plane wave, the tapered moduli and the drag;
+    worm3d adds a preferred curvature of 6 along the second director on
+    u <= 1/3.  The fields are compiled anew on each call.
     """
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown scenario preset {name!r} (expected one "
                           f"of {', '.join(PRESET_NAMES)})")
+    fields = dict(zip(FIELD_KEYS, map(compile_expr, _PRESET_FIELDS[name])))
     if name == "relaxation":
-        return Scenario(
-            name="relaxation",
-            kappa1_pref=_relaxation_kappa1,
-            kappa2_pref=_relaxation_kappa2,
-            twist_pref=_relaxation_twist,
-            material=MaterialParams(1.0, 1.0, 1.0, 1.0, rotary_drag=1.0),
-        )
-    return Scenario(
-        name=name,
-        kappa1_pref=_worm_kappa1,
-        kappa2_pref=_worm3d_kappa2 if name == "worm3d" else _const(0.0),
-        twist_pref=_const(0.0),
-        material=MaterialParams(
-            bend_stiffness=taper_profile,
-            bend_viscosity=0.0,
-            twist_stiffness=taper_profile,
-            twist_viscosity=0.0,
-            rotary_drag=1.0,
-        ),
-        drag=ResistiveForceDrag(40.0),
-        spin_up=5.0,
-    )
+        return Scenario(name=name, **fields, material=MaterialParams(
+            1.0, 1.0, 1.0, 1.0, rotary_drag=1.0))
+    taper = compile_profile(_WORM_TAPER)
+    return Scenario(name=name, **fields, material=MaterialParams(
+        taper, 0.0, taper, 0.0, rotary_drag=1.0),
+        drag=ResistiveForceDrag(40.0), spin_up=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +152,16 @@ def compile_expr(src: str) -> FieldFunc:
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(u)).copy()
 
     return fn
+
+
+def compile_profile(src: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile an expression in u alone into a material profile of u."""
+    f = compile_expr(src)
+    if any(isinstance(node, ast.Name) and node.id == "t"
+           for node in ast.walk(ast.parse(src, mode="eval"))):
+        raise ConfigError(
+            f"a material profile depends on u only, got '{src}'")
+    return lambda u: f(u, 0.0)
 
 
 def evaluate_field(f: FieldFunc, u: np.ndarray, t: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, outputs, exit codes."""
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -10,11 +11,11 @@ import pytest
 
 from rodfem import cli
 from rodfem.cli import build_scenario, build_sim_config, main, parse_config
-from rodfem.engine3d import run, step_count
+from rodfem.engine3d import SimConfig, run, step_count
 from rodfem.errors import ConfigError
 from rodfem.geometry import uniform_mesh
 from rodfem.materials import IsotropicDrag, ResistiveForceDrag
-from rodfem.scenarios import builtin_scenario
+from rodfem.scenarios import PRESET_NAMES, builtin_scenario
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
@@ -108,6 +109,24 @@ def test_readme_config_parses_builds_and_runs(tmp_path, text):
     sim = build_sim_config(cfg, build_scenario(cfg), t_final=1.0)
     res = run(sim)
     assert res.stats.steps == step_count(sim.scenario.spin_up + 1.0, sim.dt)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_readme_preset_lines_run_the_preset_bit_for_bit(tmp_path, name):
+    # the README lists each preset's fields, moduli, drag and spin-up in
+    # config syntax; as a custom scenario they give the preset's trajectory
+    lines = re.search(rf"```ini {name}\n(.*?)```", README, re.S).group(1)
+    cfg = parse_config(write_cfg(tmp_path, "scenario.name = custom\n" + lines))
+    pin = dict(n_vertices=8, dt=0.25, t_final=1.0,
+               dimension=2 if name == "worm2d" else 3)
+    got = run(SimConfig(build_scenario(cfg), **pin))
+    want = run(SimConfig(builtin_scenario(name), **pin))
+    pairs = [(got.final_state, want.final_state),
+             *zip(got.records, want.records, strict=True)]
+    for a, b in pairs:
+        for f in dataclasses.fields(b):
+            np.testing.assert_array_equal(getattr(a, f.name),
+                                          getattr(b, f.name), err_msg=f.name)
 
 
 def test_build_scenario_custom_fields(tmp_path):
@@ -320,6 +339,25 @@ def test_out_that_cannot_be_a_directory_is_rejected_before_any_step(
     assert "--out" in capsys.readouterr().err
     assert calls == []
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, key", [("run", "run.n_vertices"),
+                                          ("converge", "--levels"),
+                                          ("compare2d3d", "--levels")])
+def test_running_out_of_memory_exits_2_naming_the_size(
+        tmp_path, monkeypatch, capsys, command, key):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    cfg = write_cfg(tmp_path, "scenario.name = relaxation\n")
+    out = tmp_path / "out"
+    levels = [] if command == "run" else ["--levels", "0..0"]
+    assert main([command, "--config", cfg, "--out", str(out), *levels]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rodfem: config error: {key}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["converge", "compare2d3d"])

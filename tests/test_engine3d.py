@@ -1,4 +1,5 @@
-"""Spatial time stepping: oracle agreement, invariants, run bookkeeping."""
+"""Time stepping of both rod models: oracle agreement, invariants, run
+bookkeeping, and the planar model's embedding in space."""
 
 import dataclasses
 import re
@@ -9,14 +10,19 @@ import pytest
 import rodfem
 from rodfem.assembly3d import RodState2D, RodState3D
 from rodfem.diagnostics import center_of_mass, length_error
-from rodfem.engine3d import SimConfig, initial_state, run, step_count
+from rodfem.engine3d import (SimConfig, embed_in_space, initial_state,
+                             initial_state_2d, run, spun_up_state_2d,
+                             step_count)
 from rodfem.errors import InvalidParameterError
 from rodfem.geometry import frozen_geometry, uniform_mesh
 from rodfem.initial import InitialData, circle_arc, straight_rod
 from rodfem.materials import ResistiveForceDrag
 from rodfem.scenarios import Scenario, builtin_scenario, compile_expr
 
-from reference_dense import ref_step_3d, ref_transport, ref_tangents, ref_averaged_tangent
+from reference_dense import (ref_averaged_tangent, ref_step_2d, ref_step_3d,
+                             ref_tangents, ref_transport)
+
+MODELS = {"spatial": 3, "planar": 2}
 
 
 def rest_scenario(drag=None):
@@ -63,22 +69,49 @@ def oracle_chain(u, scn, state0, dt, n_steps):
     return st, out
 
 
-def test_two_steps_match_dense_reference():
+def spatial_dense_reference():
+    """Relaxation's config for two steps and the dense oracle's fields."""
     scn = builtin_scenario("relaxation")
-    cfg = SimConfig(scn, n_vertices=8, dt=0.5, t_final=1.0)
-    res = run(cfg)
     mesh = uniform_mesh(8)
     want, out = oracle_chain(mesh.u, scn, initial_state(mesh, scn), 0.5, 2)
-    fin = res.final_state
-    np.testing.assert_allclose(fin.x, want["x"], atol=1e-10)
-    np.testing.assert_allclose(fin.e1, want["e1"], atol=1e-10)
-    np.testing.assert_allclose(fin.e2, want["e2"], atol=1e-10)
-    np.testing.assert_allclose(fin.kappa, want["kappa"], atol=1e-10)
-    np.testing.assert_allclose(fin.twist, want["gamma"], atol=1e-10)
-    np.testing.assert_allclose(fin.bend_moment, want["y"], atol=1e-10)
-    np.testing.assert_allclose(fin.spin, want["m"], atol=1e-10)
-    np.testing.assert_allclose(fin.twist_moment, out["z"], atol=1e-10)
-    np.testing.assert_allclose(fin.tension, out["p"], atol=1e-10)
+    return SimConfig(scn, n_vertices=8, dt=0.5, t_final=1.0), {
+        "x": want["x"], "e1": want["e1"], "e2": want["e2"],
+        "kappa": want["kappa"], "twist": want["gamma"],
+        "bend_moment": want["y"], "spin": want["m"],
+        "twist_moment": out["z"], "tension": out["p"]}
+
+
+def planar_dense_reference():
+    """worm2d's config for two steps, no spin-up, and the planar oracle's."""
+    scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=0.0)
+    n, dt = 8, 0.25
+    mesh = uniform_mesh(n)
+    k = scn.drag.k
+    drag_of_tau = lambda t: np.outer(t, t) + k * (np.eye(2) - np.outer(t, t))  # noqa: E731
+    st0 = initial_state_2d(mesh, scn)
+    st = {"x": st0.x, "kappa": st0.kappa, "s0": st0.rest_density}
+    A_v = scn.material.bend_stiffness_at(mesh.u)
+    B_v = scn.material.bend_viscosity_at(mesh.u)
+    for step in (1, 2):
+        out, _ = ref_step_2d(mesh.u, st, dt, step * dt, A_v, B_v,
+                             drag_of_tau, scn.kappa1_pref)
+        st = {"x": out["x"], "kappa": out["kappa"], "s0": st["s0"]}
+    return SimConfig(scn, n_vertices=n, dt=dt, t_final=2 * dt, dimension=2), {
+        "x": out["x"], "kappa": out["kappa"], "bend_moment": out["y"],
+        "tension": out["p"]}
+
+
+DENSE_REFERENCES = {"spatial": spatial_dense_reference,
+                    "planar": planar_dense_reference}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_two_steps_match_dense_reference(model):
+    cfg, want = DENSE_REFERENCES[model]()
+    fin = run(cfg).final_state
+    for name, value in want.items():
+        np.testing.assert_allclose(getattr(fin, name), value, atol=1e-10,
+                                   err_msg=name)
 
 
 def test_initial_state_has_zero_boundary_curvature_and_rest_auxiliaries():
@@ -90,6 +123,17 @@ def test_initial_state_has_zero_boundary_curvature_and_rest_auxiliaries():
     np.testing.assert_allclose(st.twist, 0.0, atol=1e-15)
     np.testing.assert_allclose(st.rest_density, 1.0)
     np.testing.assert_allclose(st.bend_moment, 0.0)
+    assert st.t == 0.0
+
+
+def test_initial_planar_state():
+    mesh = uniform_mesh(10)
+    scn = builtin_scenario("worm2d")
+    st = initial_state_2d(mesh, scn)
+    np.testing.assert_allclose(st.x[:, 0], mesh.u)
+    np.testing.assert_allclose(st.x[:, 1], 0.0)
+    np.testing.assert_allclose(st.kappa, 0.0)
+    np.testing.assert_allclose(st.rest_density, 1.0)
     assert st.t == 0.0
 
 
@@ -213,11 +257,19 @@ def test_snapshot_stride_records_requested_steps():
     assert sorted(res.snapshots) == [0, 10]
 
 
-def test_resumed_run_reproduces_one_shot_run():
-    scn = builtin_scenario("relaxation")
-    full = run(SimConfig(scn, n_vertices=16, dt=1.0, t_final=25.0))
-    head = run(SimConfig(scn, n_vertices=16, dt=1.0, t_final=12.0))
-    tail = run(SimConfig(scn, n_vertices=16, dt=1.0, t_final=25.0),
+#: preset, dt, steps of the first leg and of the whole run per model
+RESUMES = {"spatial": ("relaxation", 1.0, 12, 25),
+           "planar": ("worm2d", 0.25, 6, 16)}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_resumed_run_reproduces_one_shot_run(model):
+    preset, dt, head_steps, steps = RESUMES[model]
+    scn = builtin_scenario(preset)
+    pin = dict(n_vertices=16, dt=dt, dimension=MODELS[model])
+    full = run(SimConfig(scn, t_final=steps * dt, **pin))
+    head = run(SimConfig(scn, t_final=head_steps * dt, **pin))
+    tail = run(SimConfig(scn, t_final=steps * dt, **pin),
                state=head.final_state)
     assert tail.final_state.t == full.final_state.t
     np.testing.assert_allclose(tail.final_state.x, full.final_state.x,
@@ -225,11 +277,8 @@ def test_resumed_run_reproduces_one_shot_run():
     np.testing.assert_allclose(tail.final_state.kappa, full.final_state.kappa,
                                atol=1e-13)
     # diagnostics keep absolute step numbering across the resume
-    assert tail.records[0].step == 12
-    assert tail.records[-1].step == 25
-
-
-MODELS = {"spatial": 3, "planar": 2}
+    assert tail.records[0].step == head_steps
+    assert tail.records[-1].step == steps
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -374,6 +423,26 @@ def test_stats_count_spin_up_steps_and_take_the_functionals_from_records():
                                              for r in res.records)
 
 
+def test_planar_records_have_no_frame_error_column_content():
+    scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=0.0)
+    res = run(SimConfig(scn, n_vertices=8, dt=0.5, t_final=1.0, dimension=2))
+    assert all(r.f2 == 0.0 and r.f2_increment == 0.0 for r in res.records)
+    assert all(r.com.shape == (2,) for r in res.records)
+
+
+def test_only_the_spatial_model_samples_the_twist_fields():
+    # the planar model has no twist, so a twist stiffness that the spatial
+    # model rejects does not stop a planar run
+    worm = builtin_scenario("worm2d")
+    scn = dataclasses.replace(
+        worm, spin_up=0.0,
+        material=dataclasses.replace(worm.material, twist_stiffness=0.0))
+    pin = dict(n_vertices=8, dt=0.5, t_final=1.0)
+    assert run(SimConfig(scn, dimension=2, **pin)).stats.steps == 2
+    with pytest.raises(InvalidParameterError, match="twist_stiffness"):
+        run(SimConfig(scn, **pin))
+
+
 def test_run2d_is_run():
     assert rodfem.run2d is rodfem.run
 
@@ -437,17 +506,25 @@ def test_a_non_finite_preferred_curvature_is_rejected_by_name(model, preset):
         run(SimConfig(scn, dt=0.25, t_final=1.0, dimension=dim))
 
 
-def test_spin_up_phase_develops_the_waveform_and_resets_the_clock():
+@pytest.mark.parametrize("model", MODELS)
+def test_spin_up_phase_develops_the_waveform_and_resets_the_clock(model):
     scn = builtin_scenario("worm2d")
-    cfg = SimConfig(scn, n_vertices=16, dt=0.25, t_final=1.0)
+    cfg = SimConfig(scn, n_vertices=16, dt=0.25, t_final=1.0,
+                    dimension=MODELS[model])
     res = run(cfg)
     assert res.records[0].t == 0.0
     assert res.records[0].step == 0
     # the shape at clock zero is developed, not straight
     assert np.abs(res.snapshots[0].x[:, 1]).max() > 1e-2
+    assert np.abs(res.snapshots[0].kappa).max() > 1e-2
     # spin-up steps counted in the invariant sweep but not in the records
     assert res.stats.steps == step_count(5.0, 0.25) + step_count(1.0, 0.25)
     assert len(res.records) == 5
+    if model == "planar":
+        # compare2d3d starts both models from this state
+        st = spun_up_state_2d(cfg)
+        assert st.t == 0.0
+        np.testing.assert_array_equal(st.x, res.snapshots[0].x)
 
 
 @pytest.mark.parametrize("model, preset", [("spatial", "worm3d"),
@@ -478,3 +555,38 @@ def test_each_drive_field_is_evaluated_once_per_step_time(model, preset):
     assert sorted(calls) == sorted(used)
     for name in used:
         assert calls[name] == times, name
+
+
+# --- the planar model lifted into space -------------------------------------
+
+
+def test_embedding_reproduces_planar_dynamics_exactly():
+    # same initial state, one solver planar and one spatial: trajectories
+    # must agree to rounding because the drive never leaves the plane
+    scn = dataclasses.replace(builtin_scenario("worm2d"), spin_up=0.0)
+    n, dt, T = 8, 0.25, 1.0
+    mesh = uniform_mesh(n)
+    st2 = initial_state_2d(mesh, scn)
+    st3 = embed_in_space(mesh, st2)
+    res2 = run(SimConfig(scn, n_vertices=n, dt=dt, t_final=T, dimension=2),
+               state=st2)
+    res3 = run(SimConfig(scn, n_vertices=n, dt=dt, t_final=T), state=st3)
+    f2, f3 = res2.final_state, res3.final_state
+    np.testing.assert_allclose(f3.x[:, :2], f2.x, atol=1e-12)
+    np.testing.assert_allclose(f3.x[:, 2], 0.0, atol=1e-13)
+    np.testing.assert_allclose(f3.kappa[:, :2], f2.kappa, atol=1e-12)
+    np.testing.assert_allclose(f3.twist, 0.0, atol=1e-13)
+    np.testing.assert_allclose(f3.spin, 0.0, atol=1e-13)
+    np.testing.assert_allclose(f3.tension, f2.tension, atol=1e-12)
+
+
+def test_embedded_state_shape():
+    mesh = uniform_mesh(6)
+    scn = builtin_scenario("worm2d")
+    st3 = embed_in_space(mesh, initial_state_2d(mesh, scn))
+    assert st3.x.shape == (6, 3)
+    np.testing.assert_allclose(st3.e2, np.tile([0.0, 0.0, 1.0], (6, 1)))
+    # first director orthogonal to the tangent, in plane
+    np.testing.assert_allclose(st3.e1[:, 2], 0.0)
+    np.testing.assert_allclose(
+        np.einsum("id,id->i", st3.e1, st3.e2), 0.0, atol=1e-15)

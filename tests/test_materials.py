@@ -11,25 +11,22 @@ from rodfem.materials import (
     IsotropicDrag,
     MaterialParams,
     ResistiveForceDrag,
-    taper_profile,
 )
+from rodfem.scenarios import builtin_scenario
 
 
 def test_taper_profile_hand_values():
-    # 8*((eps+u)(eps+1-u))^1.5 / (1+2 eps)^3 at eps = 0.05
+    # the worms' moduli: 8*((eps+u)(eps+1-u))^1.5 / (1+2 eps)^3 at eps = 0.05
     u = np.array([0.0, 0.25, 0.5])
-    got = taper_profile(u, eps=0.05)
-    np.testing.assert_allclose(
-        got, [0.07230209586331526, 0.7066897529892863, 1.0], rtol=1e-12)
-    # symmetric about the midpoint
-    np.testing.assert_allclose(
-        taper_profile(np.array([0.1, 0.9]), 0.05)[0],
-        taper_profile(np.array([0.1, 0.9]), 0.05)[1])
-
-
-def test_taper_profile_is_positive_on_the_closed_interval():
-    u = np.linspace(0.0, 1.0, 101)
-    assert np.all(taper_profile(u, eps=0.01) > 0.0)
+    for name in ("worm2d", "worm3d"):
+        mat = builtin_scenario(name).material
+        for sample in (mat.bend_stiffness_at, mat.twist_stiffness_at):
+            np.testing.assert_allclose(
+                sample(u), [0.07230209586331526, 0.7066897529892863, 1.0],
+                rtol=1e-12)
+            # symmetric about the midpoint
+            ends = sample(np.array([0.1, 0.9]))
+            np.testing.assert_allclose(ends[0], ends[1], rtol=1e-12)
 
 
 def test_material_sampling_constant_and_callable():
